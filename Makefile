@@ -6,11 +6,11 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race race-fault restore-gate bench sync-bench bench-pin perf perf-trend trace-guard trace-smoke watchdog-smoke doctor-smoke top-smoke
+.PHONY: check fmt vet build golden-gate test race race-fault restore-gate bench sync-bench bench-pin perf perf-trend trace-guard trace-smoke watchdog-smoke doctor-smoke top-smoke
 
 # trace-guard runs before the race gates: it measures wall time, and the
 # race suites leave the machine hot enough to skew it.
-check: fmt vet build trace-guard perf-trend trace-smoke watchdog-smoke doctor-smoke top-smoke race-fault restore-gate race
+check: fmt vet build golden-gate trace-guard perf-trend trace-smoke watchdog-smoke doctor-smoke top-smoke race-fault restore-gate race
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -24,6 +24,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Golden gate: the byte-pinned volume, trace and example goldens, uncached.
+# The Go test cache does not key on GOMAXPROCS, so a cached pass could
+# replay a result measured at another setting. GOMAXPROCS=2 joins this gate
+# once graph generation no longer depends on GOMAXPROCS (ROADMAP item 1).
+golden-gate:
+	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestGoldenCommVolumes|TestTraceMatchesGoldenVolumes|TestSidebandMergedMatchesGoldenVolumes|TestHeterogeneousEngines|ExampleRun' ./ ./internal/dsys/
 
 race:
 	$(GO) test -race ./...

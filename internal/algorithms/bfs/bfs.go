@@ -87,7 +87,7 @@ func NewLigra(source uint64, workers int) dsys.ProgramFactory {
 	return func(p *partition.Partition, g *gluon.Gluon) (dsys.Program, error) {
 		return &ligraProgram{
 			common:  newCommon(p, g, source),
-			lg:      ligra.NewGraph(p.Graph, true),
+			lg:      ligra.NewGraph(p.Graph, p.InGraph()),
 			workers: workers,
 		}, nil
 	}

@@ -89,7 +89,7 @@ func NewLigra(workers int) dsys.ProgramFactory {
 		if err != nil {
 			return nil, err
 		}
-		return &ligraProgram{common: c, lg: ligra.NewGraph(p.Graph, true), workers: workers}, nil
+		return &ligraProgram{common: c, lg: ligra.NewGraph(p.Graph, p.InGraph()), workers: workers}, nil
 	}
 }
 

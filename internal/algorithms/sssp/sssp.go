@@ -129,7 +129,7 @@ func NewLigra(source uint64, workers int) dsys.ProgramFactory {
 		if err != nil {
 			return nil, err
 		}
-		return &ligraProgram{common: c, lg: ligra.NewGraph(p.Graph, false), workers: workers}, nil
+		return &ligraProgram{common: c, lg: ligra.NewGraph(p.Graph, nil), workers: workers}, nil
 	}
 }
 

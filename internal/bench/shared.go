@@ -86,7 +86,7 @@ func initGIDLabels(g *graph.CSR) []uint32 {
 }
 
 func sharedLigraBFS(g *graph.CSR, source uint32, workers int) []uint32 {
-	lg := ligra.NewGraph(g, true)
+	lg := ligra.NewGraph(g, g.Transpose())
 	dist := initSourceLabels(g, source)
 	frontier := bitset.New(g.NumNodes())
 	frontier.Set(source)
@@ -114,7 +114,7 @@ func sharedLigraBFS(g *graph.CSR, source uint32, workers int) []uint32 {
 }
 
 func sharedLigraSSSP(g *graph.CSR, source uint32, workers int) []uint32 {
-	lg := ligra.NewGraph(g, false)
+	lg := ligra.NewGraph(g, nil)
 	dist := initSourceLabels(g, source)
 	frontier := bitset.New(g.NumNodes())
 	frontier.Set(source)
@@ -138,7 +138,7 @@ func sharedLigraSSSP(g *graph.CSR, source uint32, workers int) []uint32 {
 }
 
 func sharedLigraCC(g *graph.CSR, workers int) []uint32 {
-	lg := ligra.NewGraph(g, true)
+	lg := ligra.NewGraph(g, g.Transpose())
 	comp := initGIDLabels(g)
 	frontier := bitset.New(g.NumNodes())
 	frontier.SetAll()

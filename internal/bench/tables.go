@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"gluon/internal/engine/ligra"
 	"gluon/internal/gemini"
 	"gluon/internal/gluon"
 	"gluon/internal/partition"
@@ -68,7 +67,7 @@ func Table2(w io.Writer, p Params) error {
 }
 
 // timePartition times partitioning + local construction; buildIn adds the
-// in-edge (transpose) build D-Ligra performs.
+// in-edge (transpose) build D-Ligra performs, once per partition.
 func timePartition(wl *Workload, kind partition.Kind, hosts int, popt partition.Options, buildIn bool) (time.Duration, error) {
 	start := time.Now()
 	pol, err := partition.NewPolicy(kind, wl.NumNodes, hosts, popt)
@@ -81,7 +80,7 @@ func timePartition(wl *Workload, kind partition.Kind, hosts int, popt partition.
 	}
 	if buildIn {
 		for _, part := range parts {
-			ligra.NewGraph(part.Graph, true)
+			part.InGraph()
 		}
 	}
 	return time.Since(start), nil

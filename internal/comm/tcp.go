@@ -92,6 +92,30 @@ type DialConfig struct {
 	Timeout time.Duration
 }
 
+// FreeLoopbackAddrs returns n distinct 127.0.0.1 addresses on ports the
+// kernel has just handed out, for a loopback mesh on one machine. Fixed
+// ports inside the ephemeral range can be taken at any moment by another
+// process's outgoing connection; these stay free only until someone else
+// binds them, so dial promptly.
+func FreeLoopbackAddrs(n int) ([]string, error) {
+	lns := make([]net.Listener, 0, n)
+	defer func() {
+		for _, ln := range lns {
+			ln.Close()
+		}
+	}()
+	addrs := make([]string, n)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return nil, fmt.Errorf("comm: reserving a loopback port: %w", err)
+		}
+		lns = append(lns, ln)
+		addrs[i] = ln.Addr().String()
+	}
+	return addrs, nil
+}
+
 // DialTCP creates host id's endpoint of an n-host TCP communicator with the
 // default mesh-establishment timeout. addrs[i] is the listen address of
 // host i; addrs[id] is where this endpoint listens. DialTCP blocks until

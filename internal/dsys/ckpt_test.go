@@ -235,10 +235,9 @@ func TestRejoinTCP(t *testing.T) {
 	_, parts := cmParts(t)
 	dir := t.TempDir()
 
-	const basePort = 43550
-	addrs := make([]string, cmHosts)
-	for i := range addrs {
-		addrs[i] = fmt.Sprintf("127.0.0.1:%d", basePort+i)
+	addrs, err := comm.FreeLoopbackAddrs(cmHosts)
+	if err != nil {
+		t.Fatal(err)
 	}
 	eps := make([]comm.Transport, cmHosts)
 	var dialWG sync.WaitGroup

@@ -2,7 +2,6 @@ package dsys_test
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -57,11 +56,11 @@ func runWithDeadline(t *testing.T, d time.Duration, parts []*partition.Partition
 }
 
 // tcpTransports dials a loopback mesh for the fault suite.
-func tcpTransports(t *testing.T, hosts, basePort int) []comm.Transport {
+func tcpTransports(t *testing.T, hosts int) []comm.Transport {
 	t.Helper()
-	addrs := make([]string, hosts)
-	for i := range addrs {
-		addrs[i] = fmt.Sprintf("127.0.0.1:%d", basePort+i)
+	addrs, err := comm.FreeLoopbackAddrs(hosts)
+	if err != nil {
+		t.Fatal(err)
 	}
 	eps := make([]comm.Transport, hosts)
 	var wg sync.WaitGroup
@@ -107,7 +106,7 @@ func TestBSPPeerDeath(t *testing.T) {
 		"truncated-frame": {TruncateRecvAfter: 5},
 	}
 	for name, fcfg := range faults {
-		for ti, transport := range []string{"inproc", "tcp"} {
+		for _, transport := range []string{"inproc", "tcp"} {
 			t.Run(name+"/"+transport, func(t *testing.T) {
 				_, parts, source := faultParts(t, hosts)
 				var ts []comm.Transport
@@ -116,7 +115,7 @@ func TestBSPPeerDeath(t *testing.T) {
 					defer hub.Close()
 					ts = hub.Endpoints()
 				} else {
-					ts = tcpTransports(t, hosts, 42400+10*ti+len(name))
+					ts = tcpTransports(t, hosts)
 				}
 				// Host 1 runs over the faulty substrate; the rest are clean.
 				ts[1] = comm.NewFaultTransport(ts[1], fcfg)

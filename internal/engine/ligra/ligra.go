@@ -21,14 +21,10 @@ type Graph struct {
 	In  *graph.CSR // required for pull mode; may be nil to disable pulling
 }
 
-// NewGraph wraps a CSR, building the transpose eagerly when pull is wanted.
-func NewGraph(out *graph.CSR, buildIn bool) *Graph {
-	g := &Graph{Out: out}
-	if buildIn {
-		g.In = out.Transpose()
-	}
-	return g
-}
+// NewGraph pairs an out-CSR with its transpose; a nil in means push only.
+// The transpose is the caller's to build and share, so a distributed job
+// passes its partition's InGraph instead of rebuilding it.
+func NewGraph(out, in *graph.CSR) *Graph { return &Graph{Out: out, In: in} }
 
 // EdgeMapConfig configures one edgeMap application.
 type EdgeMapConfig struct {

@@ -65,8 +65,8 @@ func TestPushPullEquivalence(t *testing.T) {
 	source := csr.MaxOutDegreeNode()
 	want := ref.BFS(csr, source)
 
-	gPushOnly := NewGraph(csr, false)
-	gBoth := NewGraph(csr, true)
+	gPushOnly := NewGraph(csr, nil)
+	gBoth := NewGraph(csr, csr.Transpose())
 
 	push := bfsWith(gPushOnly, source, 0, false)
 	hybrid := bfsWith(gBoth, source, 0, true)        // Ligra default 1/20
@@ -86,7 +86,7 @@ func TestPushPullEquivalence(t *testing.T) {
 }
 
 func TestEdgeMapEmptyFrontier(t *testing.T) {
-	g := NewGraph(rmatCSR(t, 8), false)
+	g := NewGraph(rmatCSR(t, 8), nil)
 	next := EdgeMap(g, bitset.New(g.Out.NumNodes()), EdgeMapConfig{
 		Push: func(s, d, w uint32) bool { t.Fatal("push called"); return false },
 	})
@@ -130,7 +130,7 @@ func TestCondEarlyExit(t *testing.T) {
 		edges = append(edges, graph.LocalEdge{Src: i, Dst: 0})
 	}
 	csr := graph.Build(n, edges, false)
-	g := NewGraph(csr, true)
+	g := NewGraph(csr, csr.Transpose())
 
 	parent := make([]uint32, n)
 	for i := range parent {
@@ -165,7 +165,7 @@ func TestCondEarlyExit(t *testing.T) {
 
 func BenchmarkEdgeMapPush(b *testing.B) {
 	csr := rmatCSR(b, 12)
-	g := NewGraph(csr, false)
+	g := NewGraph(csr, nil)
 	frontier := bitset.New(csr.NumNodes())
 	for i := uint32(0); i < csr.NumNodes(); i += 16 {
 		frontier.Set(i)

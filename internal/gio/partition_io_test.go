@@ -2,6 +2,9 @@ package gio_test
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 
 	"gluon/internal/algorithms/bfs"
@@ -14,7 +17,7 @@ import (
 	"gluon/internal/ref"
 )
 
-func buildParts(t *testing.T, hosts int) (uint64, []graph.Edge, *graph.CSR, []*partition.Partition) {
+func buildParts(t *testing.T, kind partition.Kind, hosts int) (uint64, []graph.Edge, *graph.CSR, []*partition.Partition) {
 	t.Helper()
 	cfg := generate.Config{Kind: "rmat", Scale: 9, EdgeFactor: 8, Seed: 14}
 	edges, err := generate.Edges(cfg)
@@ -29,7 +32,7 @@ func buildParts(t *testing.T, hosts int) (uint64, []graph.Edge, *graph.CSR, []*p
 	for u := uint32(0); u < g.NumNodes(); u++ {
 		out[u] = g.OutDegree(u)
 	}
-	pol, err := partition.NewPolicy(partition.CVC, cfg.NumNodes(), hosts,
+	pol, err := partition.NewPolicy(kind, cfg.NumNodes(), hosts,
 		partition.Options{OutDegrees: out, InDegrees: g.InDegrees()})
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +47,7 @@ func buildParts(t *testing.T, hosts int) (uint64, []graph.Edge, *graph.CSR, []*p
 // TestPartitionRoundTrip: serialized partitions reload with identical
 // structure.
 func TestPartitionRoundTrip(t *testing.T) {
-	_, _, _, parts := buildParts(t, 4)
+	_, _, _, parts := buildParts(t, partition.CVC, 4)
 	for _, p := range parts {
 		var buf bytes.Buffer
 		if err := gio.WritePartition(&buf, p); err != nil {
@@ -84,7 +87,7 @@ func TestPartitionRoundTrip(t *testing.T) {
 // TestLoadedPartitionsRun: a full distributed bfs over reloaded partitions
 // produces correct results — the offline-partitioning workflow end to end.
 func TestLoadedPartitionsRun(t *testing.T) {
-	numNodes, _, g, parts := buildParts(t, 4)
+	numNodes, _, g, parts := buildParts(t, partition.CVC, 4)
 	_ = numNodes
 	reloaded := make([]*partition.Partition, len(parts))
 	for i, p := range parts {
@@ -117,7 +120,7 @@ func TestReadPartitionRejectsGarbage(t *testing.T) {
 	if _, err := gio.ReadPartition(bytes.NewReader([]byte("junkjunkjunkjunkjunkjunk"))); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	_, _, _, parts := buildParts(t, 2)
+	_, _, _, parts := buildParts(t, partition.CVC, 2)
 	var buf bytes.Buffer
 	if err := gio.WritePartition(&buf, parts[0]); err != nil {
 		t.Fatal(err)
@@ -125,5 +128,83 @@ func TestReadPartitionRejectsGarbage(t *testing.T) {
 	data := buf.Bytes()
 	if _, err := gio.ReadPartition(bytes.NewReader(data[:len(data)/2])); err == nil {
 		t.Fatal("truncated partition accepted")
+	}
+}
+
+// refMirrorOrders derives the mirror-side memoization orders from scratch:
+// group the mirror GIDs by owner, sort each group, and translate every GID
+// back to its local ID — the per-job derivation the cached
+// Partition.MirrorOrders replaced.
+func refMirrorOrders(t *testing.T, p *partition.Partition) (all, in, out [][]uint32) {
+	t.Helper()
+	byOwner := make([][]uint64, p.NumHosts)
+	for lid := p.NumMasters; lid < p.NumProxies(); lid++ {
+		gid := p.GID(lid)
+		h := p.Policy.Owner(gid)
+		byOwner[h] = append(byOwner[h], gid)
+	}
+	all = make([][]uint32, p.NumHosts)
+	in = make([][]uint32, p.NumHosts)
+	out = make([][]uint32, p.NumHosts)
+	for h, gids := range byOwner {
+		if h == p.HostID {
+			continue
+		}
+		sort.Slice(gids, func(a, b int) bool { return gids[a] < gids[b] })
+		for _, gid := range gids {
+			lid, ok := p.LID(gid)
+			if !ok {
+				t.Fatalf("mirror gid %d has no local ID", gid)
+			}
+			all[h] = append(all[h], lid)
+			if p.HasIn.Test(lid) {
+				in[h] = append(in[h], lid)
+			}
+			if p.HasOut.Test(lid) {
+				out[h] = append(out[h], lid)
+			}
+		}
+	}
+	return all, in, out
+}
+
+// TestMirrorOrdersMatchReference: the cached mirror-side orders equal the
+// from-scratch derivation for every policy and host count, on fresh and on
+// reloaded partitions, and every non-empty order carries its mask.
+func TestMirrorOrdersMatchReference(t *testing.T) {
+	for _, kind := range partition.AllKinds() {
+		for _, hosts := range []int{2, 3, 4} {
+			t.Run(fmt.Sprintf("%s/h%d", kind, hosts), func(t *testing.T) {
+				_, _, _, parts := buildParts(t, kind, hosts)
+				for _, p := range parts {
+					var buf bytes.Buffer
+					if err := gio.WritePartition(&buf, p); err != nil {
+						t.Fatal(err)
+					}
+					rp, err := gio.ReadPartition(&buf)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, q := range []*partition.Partition{p, rp} {
+						all, in, out := refMirrorOrders(t, q)
+						mo := q.MirrorOrders()
+						for _, c := range []struct {
+							name string
+							got  partition.Orders
+							want [][]uint32
+						}{{"all", mo.All, all}, {"in", mo.In, in}, {"out", mo.Out, out}} {
+							if !reflect.DeepEqual(c.got.Lists, c.want) {
+								t.Fatalf("host %d: %s orders differ from the reference", q.HostID, c.name)
+							}
+							for h, l := range c.got.Lists {
+								if (c.got.Masks[h] != nil) != (len(l) > 0) {
+									t.Fatalf("host %d: %s mask for peer %d does not match its list", q.HostID, c.name, h)
+								}
+							}
+						}
+					}
+				}
+			})
+		}
 	}
 }

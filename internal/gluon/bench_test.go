@@ -112,3 +112,23 @@ func BenchmarkDecode(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkGluonNew measures one job's substrate construction (the
+// gluon.new_s layer): New on every host of a 4-host OEC partitioning over
+// one in-process hub, repeated on the same partitions so only the per-job
+// work — the memoization exchange and the master-side orders — is timed.
+func BenchmarkGluonNew(b *testing.B) {
+	parts := testParts(b, partition.OEC, 4, 14)
+	hub := comm.NewHub(4)
+	b.Cleanup(hub.Close)
+	if _, err := newCluster(parts, hub, Opt()); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := newCluster(parts, hub, Opt()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

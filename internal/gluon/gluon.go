@@ -29,7 +29,6 @@ import (
 	"sync"
 	"time"
 
-	"gluon/internal/bitset"
 	"gluon/internal/comm"
 	"gluon/internal/partition"
 	"gluon/internal/trace"
@@ -93,29 +92,6 @@ func Opt() Options {
 	return Options{StructuralInvariants: true, TemporalInvariance: true}
 }
 
-// orderSet is a family of per-peer memoized exchange orders together with
-// their word-level masks: masks[h], when non-nil, is the bitset.OrderMask
-// of lists[h], computed once at memoization time so the sync hot path can
-// intersect an order against the updated bitset a word at a time.
-type orderSet struct {
-	lists [][]uint32
-	masks []*bitset.OrderMask
-}
-
-// newOrderSet wraps per-peer order lists, building a mask for every
-// non-empty list. Orders that are not strictly lid-ascending (possible
-// only if a partition ever broke the GID-sorted layout) get a nil mask and
-// fall back to per-lid scans.
-func newOrderSet(lists [][]uint32) orderSet {
-	masks := make([]*bitset.OrderMask, len(lists))
-	for h, l := range lists {
-		if len(l) > 0 {
-			masks[h] = bitset.NewOrderMask(l)
-		}
-	}
-	return orderSet{lists: lists, masks: masks}
-}
-
 // Gluon is one host's communication substrate instance.
 type Gluon struct {
 	Part *partition.Partition
@@ -124,18 +100,20 @@ type Gluon struct {
 
 	// Memoized exchange orders (§4.1), all in agreed (GID-ascending) order.
 	//
-	// mirrors.lists[h]: local IDs of my mirror proxies whose master is on
-	// host h. masters.lists[h]: local IDs of my master proxies that have a
-	// mirror on h, positionally aligned with h's mirrors.lists[me].
-	mirrors orderSet
-	masters orderSet
+	// mirrors.Lists[h]: local IDs of my mirror proxies whose master is on
+	// host h. masters.Lists[h]: local IDs of my master proxies that have a
+	// mirror on h, positionally aligned with h's mirrors.Lists[me]. The
+	// mirror side is the partition's MirrorOrders, shared read-only by every
+	// instance on that partition; the master side is this instance's own.
+	mirrors partition.Orders
+	masters partition.Orders
 
 	// Structural-invariant subsets (§3.2). mirrorsIn/mastersIn restrict to
 	// proxies whose mirror has incoming local edges (can be written by a
 	// write-at-destination operator); mirrorsOut/mastersOut to mirrors with
 	// outgoing edges (will be read by a read-at-source operator).
-	mirrorsIn, mirrorsOut orderSet
-	mastersIn, mastersOut orderSet
+	mirrorsIn, mirrorsOut partition.Orders
+	mastersIn, mastersOut partition.Orders
 
 	// rec is this host's observability sink; nil (the default) disables
 	// every instrumentation site at the cost of one nil check. Set it with
@@ -226,15 +204,27 @@ func (g *Gluon) foldStats(st *Stats) {
 // exchange with all peers. All hosts of the communicator must call New
 // concurrently (it communicates).
 func New(p *partition.Partition, t comm.Transport, opt Options) (*Gluon, error) {
+	g, err := newGluon(p, t, opt)
+	if err != nil {
+		return nil, err
+	}
+	if err := g.memoize(); err != nil {
+		return nil, err
+	}
+	g.stats.MemoProxies = countAll(g.mirrors.Lists) + countAll(g.masters.Lists)
+	return g, nil
+}
+
+// newGluon checks p against t and takes the mirror-side orders from the
+// partition, which builds them once and shares them with every job; only
+// the master-side orders are left for New or NewRestored to fill in.
+func newGluon(p *partition.Partition, t comm.Transport, opt Options) (*Gluon, error) {
 	if p.HostID != t.HostID() || p.NumHosts != t.NumHosts() {
 		return nil, fmt.Errorf("gluon: partition host %d/%d does not match transport %d/%d",
 			p.HostID, p.NumHosts, t.HostID(), t.NumHosts())
 	}
-	g := &Gluon{Part: p, T: t, Opt: opt}
-	if err := g.memoize(); err != nil {
-		return nil, err
-	}
-	return g, nil
+	mo := p.MirrorOrders()
+	return &Gluon{Part: p, T: t, Opt: opt, mirrors: mo.All, mirrorsIn: mo.In, mirrorsOut: mo.Out}, nil
 }
 
 // memoize runs the §4.1 exchange: each host informs every other host of the
@@ -250,31 +240,22 @@ func (g *Gluon) memoize() error {
 	me := p.HostID
 	n := p.NumHosts
 
-	byOwner, mirrors, mirrorsIn, mirrorsOut, err := g.localMirrors()
-	if err != nil {
-		return err
-	}
-	masters := make([][]uint32, n)
-	mastersIn := make([][]uint32, n)
-	mastersOut := make([][]uint32, n)
-
 	// Send to each peer: count, gids, then per-mirror in/out flag bytes.
 	for h := 0; h < n; h++ {
 		if h == me {
 			continue
 		}
-		gids := byOwner[h]
-		lids := mirrors[h]
-		payload := comm.GetBuf(4 + len(gids)*9)
-		binary.LittleEndian.PutUint32(payload, uint32(len(gids)))
+		lids := g.mirrors.Lists[h]
+		payload := comm.GetBuf(4 + len(lids)*9)
+		binary.LittleEndian.PutUint32(payload, uint32(len(lids)))
 		off := 4
-		for i, gid := range gids {
-			binary.LittleEndian.PutUint64(payload[off:], gid)
+		for _, lid := range lids {
+			binary.LittleEndian.PutUint64(payload[off:], p.GIDs[lid])
 			var flags byte
-			if p.HasIn.Test(lids[i]) {
+			if p.HasIn.Test(lid) {
 				flags |= 1
 			}
-			if p.HasOut.Test(lids[i]) {
+			if p.HasOut.Test(lid) {
 				flags |= 2
 			}
 			payload[off+8] = flags
@@ -285,6 +266,9 @@ func (g *Gluon) memoize() error {
 		}
 	}
 
+	masters := make([][]uint32, n)
+	mastersIn := make([][]uint32, n)
+	mastersOut := make([][]uint32, n)
 	for h := 0; h < n; h++ {
 		if h == me {
 			continue
@@ -293,35 +277,68 @@ func (g *Gluon) memoize() error {
 		if err != nil {
 			return err
 		}
-		cnt := binary.LittleEndian.Uint32(payload)
-		off := 4
-		masters[h] = make([]uint32, cnt)
-		for i := uint32(0); i < cnt; i++ {
-			gid := binary.LittleEndian.Uint64(payload[off:])
-			flags := payload[off+8]
-			off += 9
-			lid, ok := p.LID(gid)
-			if !ok || !p.IsMaster(lid) {
-				return fmt.Errorf("gluon: host %d: peer %d claims mirror of gid %d which is not my master", me, h, gid)
-			}
-			masters[h][i] = lid
-			if flags&1 != 0 {
-				mastersIn[h] = append(mastersIn[h], lid)
-			}
-			if flags&2 != 0 {
-				mastersOut[h] = append(mastersOut[h], lid)
-			}
-		}
+		masters[h], mastersIn[h], mastersOut[h], err = g.decodeMemo(h, payload)
 		comm.PutBuf(payload)
+		if err != nil {
+			return err
+		}
 	}
-	g.mirrors = newOrderSet(mirrors)
-	g.mirrorsIn = newOrderSet(mirrorsIn)
-	g.mirrorsOut = newOrderSet(mirrorsOut)
-	g.masters = newOrderSet(masters)
-	g.mastersIn = newOrderSet(mastersIn)
-	g.mastersOut = newOrderSet(mastersOut)
-	g.stats.MemoProxies = countAll(mirrors) + countAll(masters)
+	g.masters = partition.NewOrders(masters)
+	g.mastersIn = partition.NewOrders(mastersIn)
+	g.mastersOut = partition.NewOrders(mastersOut)
 	return nil
+}
+
+// decodeMemo translates peer's memoization payload into the master-side
+// orders for that peer: the local IDs of my masters it mirrors, in its
+// order, and the subsets whose mirror has local in-/out-edges. Masters
+// occupy local IDs [0, NumMasters) in GID order and the peer lists its
+// mirrors GID-ascending, so one merge walk translates the whole list. A
+// GID that is not one of my masters, or a list that is not strictly
+// ascending, is an error.
+func (g *Gluon) decodeMemo(peer int, payload []byte) (all, in, out []uint32, err error) {
+	me := g.Part.HostID
+	if len(payload) < 4 {
+		return nil, nil, nil, fmt.Errorf("gluon: host %d: memo payload from peer %d too short (%d bytes)", me, peer, len(payload))
+	}
+	cnt := int(binary.LittleEndian.Uint32(payload))
+	if len(payload) != 4+9*cnt {
+		return nil, nil, nil, fmt.Errorf("gluon: host %d: memo payload from peer %d has %d bytes for %d GIDs", me, peer, len(payload), cnt)
+	}
+	var nIn, nOut int
+	for off := 4 + 8; off < len(payload); off += 9 {
+		nIn += int(payload[off] & 1)
+		nOut += int(payload[off] >> 1 & 1)
+	}
+	all = make([]uint32, cnt)
+	in = make([]uint32, 0, nIn)
+	out = make([]uint32, 0, nOut)
+	masters := g.Part.GIDs[:g.Part.NumMasters]
+	next := 0 // masters[:next] lie below every GID still to come
+	for i, off := 0, 4; i < cnt; i, off = i+1, off+9 {
+		gid := binary.LittleEndian.Uint64(payload[off:])
+		if i > 0 && gid <= masters[all[i-1]] {
+			return nil, nil, nil, fmt.Errorf("gluon: host %d: peer %d lists mirror gid %d after %d; memo GIDs must be strictly ascending",
+				me, peer, gid, masters[all[i-1]])
+		}
+		for next < len(masters) && masters[next] < gid {
+			next++
+		}
+		if next == len(masters) || masters[next] != gid {
+			return nil, nil, nil, fmt.Errorf("gluon: host %d: peer %d claims mirror of gid %d which is not my master", me, peer, gid)
+		}
+		lid := uint32(next)
+		next++
+		all[i] = lid
+		flags := payload[off+8]
+		if flags&1 != 0 {
+			in = append(in, lid)
+		}
+		if flags&2 != 0 {
+			out = append(out, lid)
+		}
+	}
+	return all, in, out, nil
 }
 
 func countAll(lists [][]uint32) uint64 {
@@ -332,63 +349,25 @@ func countAll(lists [][]uint32) uint64 {
 	return c
 }
 
-// localMirrors computes the mirror-side exchange orders — which of my
-// proxies are mirrors owned by each peer, in agreed GID order, plus the
-// structural In/Out subsets. Pure local computation over the partition; the
-// master-side orders are the part that requires either the memoization
-// exchange (New) or a checkpointed import (NewRestored).
-func (g *Gluon) localMirrors() (byOwner [][]uint64, mirrors, mirrorsIn, mirrorsOut [][]uint32, err error) {
-	p := g.Part
-	n := p.NumHosts
-	byOwner = p.MirrorGIDsByOwner()
-	mirrors = make([][]uint32, n)
-	mirrorsIn = make([][]uint32, n)
-	mirrorsOut = make([][]uint32, n)
-	for h := 0; h < n; h++ {
-		if h == p.HostID {
-			continue
-		}
-		gids := byOwner[h]
-		lids := make([]uint32, len(gids))
-		for i, gid := range gids {
-			lid, ok := p.LID(gid)
-			if !ok {
-				return nil, nil, nil, nil, fmt.Errorf("gluon: host %d: mirror gid %d has no local ID", p.HostID, gid)
-			}
-			lids[i] = lid
-		}
-		mirrors[h] = lids
-		for _, lid := range lids {
-			if p.HasIn.Test(lid) {
-				mirrorsIn[h] = append(mirrorsIn[h], lid)
-			}
-			if p.HasOut.Test(lid) {
-				mirrorsOut[h] = append(mirrorsOut[h], lid)
-			}
-		}
-	}
-	return byOwner, mirrors, mirrorsIn, mirrorsOut, nil
-}
-
 // ExportMemo serializes the master-side memoized orders (masters,
 // mastersIn, mastersOut) for checkpointing. A replacement host cannot
 // re-run the memoization exchange — the survivors are holding at the
 // rendezvous, not in New — so the checkpoint carries the only state the
-// exchange would have produced; the mirror side is recomputed locally.
+// exchange would have produced; the mirror side comes from the partition.
 // Layout: u32 numHosts, then for each of the three sets, per host a u32
 // count followed by that many u32 local IDs.
 func (g *Gluon) ExportMemo() []byte {
 	n := g.Part.NumHosts
 	size := 4
-	for _, set := range []*orderSet{&g.masters, &g.mastersIn, &g.mastersOut} {
+	for _, set := range []*partition.Orders{&g.masters, &g.mastersIn, &g.mastersOut} {
 		size += 4 * n
-		size += 4 * int(countAll(set.lists))
+		size += 4 * int(countAll(set.Lists))
 	}
 	out := make([]byte, 0, size)
 	out = binary.LittleEndian.AppendUint32(out, uint32(n))
-	for _, set := range []*orderSet{&g.masters, &g.mastersIn, &g.mastersOut} {
+	for _, set := range []*partition.Orders{&g.masters, &g.mastersIn, &g.mastersOut} {
 		for h := 0; h < n; h++ {
-			lids := set.lists[h]
+			lids := set.Lists[h]
 			out = binary.LittleEndian.AppendUint32(out, uint32(len(lids)))
 			for _, lid := range lids {
 				out = binary.LittleEndian.AppendUint32(out, lid)
@@ -442,34 +421,26 @@ func (g *Gluon) importMemo(data []byte) error {
 	if off != len(data) {
 		return fmt.Errorf("gluon: %d trailing bytes in memo section", len(data)-off)
 	}
-	g.masters = newOrderSet(sets[0])
-	g.mastersIn = newOrderSet(sets[1])
-	g.mastersOut = newOrderSet(sets[2])
+	g.masters = partition.NewOrders(sets[0])
+	g.mastersIn = partition.NewOrders(sets[1])
+	g.mastersOut = partition.NewOrders(sets[2])
 	return nil
 }
 
 // NewRestored builds the substrate for a host resuming from a checkpoint:
-// the mirror-side orders are recomputed locally and the master-side orders
+// the mirror-side orders come from the partition and the master-side orders
 // come from the checkpoint's memo section (ExportMemo), so no memoization
 // exchange runs — the peers are holding at the rejoin rendezvous and could
 // not answer one.
 func NewRestored(p *partition.Partition, t comm.Transport, opt Options, memo []byte) (*Gluon, error) {
-	if p.HostID != t.HostID() || p.NumHosts != t.NumHosts() {
-		return nil, fmt.Errorf("gluon: partition host %d/%d does not match transport %d/%d",
-			p.HostID, p.NumHosts, t.HostID(), t.NumHosts())
-	}
-	g := &Gluon{Part: p, T: t, Opt: opt}
-	_, mirrors, mirrorsIn, mirrorsOut, err := g.localMirrors()
+	g, err := newGluon(p, t, opt)
 	if err != nil {
 		return nil, err
 	}
-	g.mirrors = newOrderSet(mirrors)
-	g.mirrorsIn = newOrderSet(mirrorsIn)
-	g.mirrorsOut = newOrderSet(mirrorsOut)
 	if err := g.importMemo(memo); err != nil {
 		return nil, err
 	}
-	g.stats.MemoProxies = countAll(mirrors) + countAll(g.masters.lists)
+	g.stats.MemoProxies = countAll(g.mirrors.Lists) + countAll(g.masters.Lists)
 	return g, nil
 }
 
@@ -514,7 +485,7 @@ func (g *Gluon) MirrorCount() uint32 { return g.Part.NumProxies() - g.Part.NumMa
 // it receives into, honoring or ignoring structural invariants per the
 // explicit flag (callers pass g.Opt.StructuralInvariants except for full
 // reconciliations like BroadcastAll).
-func (g *Gluon) peersForReduce(write Location, structural bool) (sendMirrors, recvMasters orderSet) {
+func (g *Gluon) peersForReduce(write Location, structural bool) (sendMirrors, recvMasters partition.Orders) {
 	if !structural {
 		return g.mirrors, g.masters
 	}
@@ -531,7 +502,7 @@ func (g *Gluon) peersForReduce(write Location, structural bool) (sendMirrors, re
 // peersForBroadcast returns, for the given read location, the per-peer
 // master orders this host sends during a broadcast and the mirror orders it
 // receives into.
-func (g *Gluon) peersForBroadcast(read Location, structural bool) (sendMasters, recvMirrors orderSet) {
+func (g *Gluon) peersForBroadcast(read Location, structural bool) (sendMasters, recvMirrors partition.Orders) {
 	if !structural {
 		return g.masters, g.mirrors
 	}
@@ -550,13 +521,13 @@ func (g *Gluon) peersForBroadcast(read Location, structural bool) (sendMasters, 
 // pair set. The distributed runners use it to skip no-op phases.
 func (g *Gluon) BroadcastNeeded(read Location) bool {
 	send, recv := g.peersForBroadcast(read, g.Opt.StructuralInvariants)
-	return countAll(send.lists)+countAll(recv.lists) > 0
+	return countAll(send.Lists)+countAll(recv.Lists) > 0
 }
 
 // ReduceNeeded is the reduce-side analogue of BroadcastNeeded.
 func (g *Gluon) ReduceNeeded(write Location) bool {
 	send, recv := g.peersForReduce(write, g.Opt.StructuralInvariants)
-	return countAll(send.lists)+countAll(recv.lists) > 0
+	return countAll(send.Lists)+countAll(recv.Lists) > 0
 }
 
 // Partners reports how many peers this host exchanges field values with
@@ -571,10 +542,10 @@ func (g *Gluon) Partners(write, read Location) (reducePeers, broadcastPeers int)
 		if h == g.HostID() {
 			continue
 		}
-		if len(sendMirrors.lists[h]) > 0 || len(recvMasters.lists[h]) > 0 {
+		if len(sendMirrors.Lists[h]) > 0 || len(recvMasters.Lists[h]) > 0 {
 			reducePeers++
 		}
-		if len(sendMasters.lists[h]) > 0 || len(recvMirrors.lists[h]) > 0 {
+		if len(sendMasters.Lists[h]) > 0 || len(recvMirrors.Lists[h]) > 0 {
 			broadcastPeers++
 		}
 	}
@@ -589,8 +560,8 @@ func (g *Gluon) VerifyMemoization() error {
 		if h == p.HostID {
 			continue
 		}
-		if !sort.SliceIsSorted(g.mirrors.lists[h], func(a, b int) bool {
-			return p.GID(g.mirrors.lists[h][a]) < p.GID(g.mirrors.lists[h][b])
+		if !sort.SliceIsSorted(g.mirrors.Lists[h], func(a, b int) bool {
+			return p.GID(g.mirrors.Lists[h][a]) < p.GID(g.mirrors.Lists[h][b])
 		}) {
 			return fmt.Errorf("gluon: host %d: mirrors[%d] not in GID order", p.HostID, h)
 		}

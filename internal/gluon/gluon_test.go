@@ -1,7 +1,10 @@
 package gluon
 
 import (
+	"encoding/binary"
 	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -13,18 +16,17 @@ import (
 	"gluon/internal/partition"
 )
 
-// buildCluster partitions a small rmat graph and constructs a Gluon
-// instance per host over an in-process hub.
-func buildCluster(t testing.TB, kind partition.Kind, hosts int, opt Options) []*Gluon {
-	t.Helper()
-	cfg := generate.Config{Kind: "rmat", Scale: 8, EdgeFactor: 8, Seed: 21}
+// testParts partitions an rmat graph of the given scale across hosts.
+func testParts(tb testing.TB, kind partition.Kind, hosts int, scale uint) []*partition.Partition {
+	tb.Helper()
+	cfg := generate.Config{Kind: "rmat", Scale: scale, EdgeFactor: 8, Seed: 21}
 	edges, err := generate.Edges(cfg)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	g, err := graph.FromEdges(cfg.NumNodes(), edges, false)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	out := make([]uint32, cfg.NumNodes())
 	for u := uint32(0); u < g.NumNodes(); u++ {
@@ -33,18 +35,22 @@ func buildCluster(t testing.TB, kind partition.Kind, hosts int, opt Options) []*
 	pol, err := partition.NewPolicy(kind, cfg.NumNodes(), hosts,
 		partition.Options{OutDegrees: out, InDegrees: g.InDegrees()})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	parts, err := partition.PartitionAll(cfg.NumNodes(), edges, pol)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	hub := comm.NewHub(hosts)
-	t.Cleanup(hub.Close)
-	gs := make([]*Gluon, hosts)
+	return parts
+}
+
+// newCluster constructs a Gluon instance per partition over hub, every
+// host concurrently as New requires.
+func newCluster(parts []*partition.Partition, hub *comm.Hub, opt Options) ([]*Gluon, error) {
+	gs := make([]*Gluon, len(parts))
+	errs := make([]error, len(parts))
 	var wg sync.WaitGroup
-	errs := make([]error, hosts)
-	for h := 0; h < hosts; h++ {
+	for h := range parts {
 		wg.Add(1)
 		go func(h int) {
 			defer wg.Done()
@@ -54,10 +60,106 @@ func buildCluster(t testing.TB, kind partition.Kind, hosts int, opt Options) []*
 	wg.Wait()
 	for h, err := range errs {
 		if err != nil {
-			t.Fatalf("host %d: %v", h, err)
+			return nil, fmt.Errorf("host %d: %w", h, err)
 		}
 	}
+	return gs, nil
+}
+
+// buildCluster partitions a small rmat graph and constructs a Gluon
+// instance per host over an in-process hub.
+func buildCluster(t testing.TB, kind partition.Kind, hosts int, opt Options) []*Gluon {
+	t.Helper()
+	hub := comm.NewHub(hosts)
+	t.Cleanup(hub.Close)
+	gs, err := newCluster(testParts(t, kind, hosts, 8), hub, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return gs
+}
+
+// TestNewSharesMirrorOrders: two concurrent jobs on one partitioning take
+// the mirror-side orders from the partitions' cache, built once, while each
+// keeps master-side orders of its own.
+func TestNewSharesMirrorOrders(t *testing.T) {
+	parts := testParts(t, partition.CVC, 4, 8)
+	var clusters [2][]*Gluon
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range clusters {
+		hub := comm.NewHub(4)
+		t.Cleanup(hub.Close)
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			clusters[i], errs[i] = newCluster(parts, hub, Opt())
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, second := clusters[0], clusters[1]
+	for h, p := range parts {
+		mo := p.MirrorOrders()
+		for _, g := range []*Gluon{first[h], second[h]} {
+			if &g.mirrors.Lists[0] != &mo.All.Lists[0] || &g.mirrorsIn.Lists[0] != &mo.In.Lists[0] ||
+				&g.mirrorsOut.Lists[0] != &mo.Out.Lists[0] || &g.mirrors.Masks[0] != &mo.All.Masks[0] {
+				t.Fatalf("host %d: mirror orders not shared with the partition", h)
+			}
+		}
+		if &first[h].masters.Lists[0] == &second[h].masters.Lists[0] {
+			t.Fatalf("host %d: master orders shared between jobs", h)
+		}
+		if !reflect.DeepEqual(first[h].masters.Lists, second[h].masters.Lists) {
+			t.Fatalf("host %d: master orders differ between jobs", h)
+		}
+	}
+}
+
+// memoPayload encodes a memoization message listing gids (flags clear).
+func memoPayload(gids ...uint64) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(gids)))
+	for _, gid := range gids {
+		b = binary.LittleEndian.AppendUint64(b, gid)
+		b = append(b, 0)
+	}
+	return b
+}
+
+// TestDecodeMemoRejects: the master-side decode translates an ascending
+// list of my masters and rejects out-of-order, duplicate, foreign and
+// malformed lists with an error naming the problem.
+func TestDecodeMemoRejects(t *testing.T) {
+	g := buildCluster(t, partition.OEC, 2, Opt())[0]
+	p := g.Part
+	if p.NumMasters < 3 || p.NumProxies() == p.NumMasters {
+		t.Fatalf("test partition too small: %d masters of %d proxies", p.NumMasters, p.NumProxies())
+	}
+	m0, m1, m2 := p.GID(0), p.GID(1), p.GID(2)
+	all, _, _, err := g.decodeMemo(1, memoPayload(m0, m2))
+	if err != nil || !reflect.DeepEqual(all, []uint32{0, 2}) {
+		t.Fatalf("valid list decoded to %v, %v", all, err)
+	}
+	for _, c := range []struct {
+		name    string
+		payload []byte
+		want    string
+	}{
+		{"descending", memoPayload(m1, m0), "strictly ascending"},
+		{"duplicate", memoPayload(m1, m1), "strictly ascending"},
+		{"mirror", memoPayload(m0, p.GID(p.NumMasters)), "not my master"},
+		{"unknown", memoPayload(m0, p.GlobalNodes+5), "not my master"},
+		{"truncated", memoPayload(m0, m1)[:12], "bytes for 2 GIDs"},
+		{"short", []byte{1}, "too short"},
+	} {
+		if _, _, _, err := g.decodeMemo(1, c.payload); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error containing %q", c.name, err, c.want)
+		}
+	}
 }
 
 // TestMemoizationAlignment: for every host pair, the sender's mirror list
@@ -73,8 +175,8 @@ func TestMemoizationAlignment(t *testing.T) {
 					if a == b {
 						continue
 					}
-					mirrors := gs[a].mirrors.lists[b]
-					masters := gs[b].masters.lists[a]
+					mirrors := gs[a].mirrors.Lists[b]
+					masters := gs[b].masters.Lists[a]
 					if len(mirrors) != len(masters) {
 						t.Fatalf("pair (%d,%d): %d mirrors vs %d masters", a, b, len(mirrors), len(masters))
 					}
@@ -86,13 +188,13 @@ func TestMemoizationAlignment(t *testing.T) {
 						}
 					}
 					// Structural subsets align too.
-					for i := range gs[a].mirrorsIn.lists[b] {
-						if gs[a].Part.GID(gs[a].mirrorsIn.lists[b][i]) != gs[b].Part.GID(gs[b].mastersIn.lists[a][i]) {
+					for i := range gs[a].mirrorsIn.Lists[b] {
+						if gs[a].Part.GID(gs[a].mirrorsIn.Lists[b][i]) != gs[b].Part.GID(gs[b].mastersIn.Lists[a][i]) {
 							t.Fatalf("pair (%d,%d): mirrorsIn misaligned at %d", a, b, i)
 						}
 					}
-					for i := range gs[a].mirrorsOut.lists[b] {
-						if gs[a].Part.GID(gs[a].mirrorsOut.lists[b][i]) != gs[b].Part.GID(gs[b].mastersOut.lists[a][i]) {
+					for i := range gs[a].mirrorsOut.Lists[b] {
+						if gs[a].Part.GID(gs[a].mirrorsOut.Lists[b][i]) != gs[b].Part.GID(gs[b].mastersOut.Lists[a][i]) {
 							t.Fatalf("pair (%d,%d): mirrorsOut misaligned at %d", a, b, i)
 						}
 					}
@@ -147,10 +249,10 @@ func TestCVCSubsetsAreProper(t *testing.T) {
 	gs := buildCluster(t, partition.CVC, 4, Opt())
 	var full, inSub, outSub int
 	for _, g := range gs {
-		for h := range g.mirrors.lists {
-			full += len(g.mirrors.lists[h])
-			inSub += len(g.mirrorsIn.lists[h])
-			outSub += len(g.mirrorsOut.lists[h])
+		for h := range g.mirrors.Lists {
+			full += len(g.mirrors.Lists[h])
+			inSub += len(g.mirrorsIn.Lists[h])
+			outSub += len(g.mirrorsOut.Lists[h])
 		}
 	}
 	if inSub >= full || outSub >= full {

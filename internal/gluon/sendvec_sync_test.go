@@ -1,7 +1,6 @@
 package gluon_test
 
 import (
-	"fmt"
 	"hash/fnv"
 	"math"
 	"sync"
@@ -62,11 +61,11 @@ func (h wireHashTransport) SendVec(to int, tag comm.Tag, header, payload []byte)
 }
 
 // tcpMesh dials a hosts-wide TCP mesh on loopback.
-func tcpMesh(t *testing.T, hosts, basePort int) []comm.Transport {
+func tcpMesh(t *testing.T, hosts int) []comm.Transport {
 	t.Helper()
-	addrs := make([]string, hosts)
-	for i := range addrs {
-		addrs[i] = fmt.Sprintf("127.0.0.1:%d", basePort+i)
+	addrs, err := comm.FreeLoopbackAddrs(hosts)
+	if err != nil {
+		t.Fatal(err)
 	}
 	eps := make([]comm.Transport, hosts)
 	errs := make([]error, hosts)
@@ -148,7 +147,7 @@ func TestCompressedWireBytesMatchAcrossTransports(t *testing.T) {
 	}
 	inprocRes := compressedRun(t, inprocTs, parts, numNodes, opt)
 
-	tcpEps := tcpMesh(t, hosts, 41400)
+	tcpEps := tcpMesh(t, hosts)
 	tcpTs := make([]comm.Transport, hosts)
 	for i, e := range tcpEps {
 		tcpTs[i] = wireHashTransport{Transport: e, acc: &tcpHash}
@@ -206,7 +205,7 @@ func TestCompressedSyncOverTCP(t *testing.T) {
 	opt := gluon.Opt()
 	opt.Compress = true
 	opt.CompressThreshold = 128
-	res, err := dsys.RunWithTransports(parts, tcpMesh(t, hosts, 41410), dsys.RunConfig{
+	res, err := dsys.RunWithTransports(parts, tcpMesh(t, hosts), dsys.RunConfig{
 		Hosts: hosts, Policy: partition.CVC, Opt: opt,
 		CollectValues: true, MaxRounds: 100,
 	}, pr.NewGalois(1e-9, 2))

@@ -8,6 +8,7 @@ import (
 	"gluon/internal/bitset"
 	"gluon/internal/comm"
 	"gluon/internal/par"
+	"gluon/internal/partition"
 	"gluon/internal/trace"
 )
 
@@ -221,13 +222,13 @@ func SyncReduce[V Value](g *Gluon, f Field[V], updated *bitset.Bitset) error {
 			defer g.foldStats(&st)
 			lane := int32(1 + w)
 			for _, h := range sendPeers[lo:hi] {
-				order := send.lists[h]
+				order := send.Lists[h]
 				var t0 int64
 				var st0 Stats
 				if tr {
 					t0, st0 = rec.Now(), st
 				}
-				payload, sent := encodeMsg(g, order, send.masks[h], updated, gatherReduce, sc, &st)
+				payload, sent := encodeMsg(g, order, send.Masks[h], updated, gatherReduce, sc, &st)
 				hdr, payload := g.maybeCompress(f.ID, payload, sc, &st)
 				if tr {
 					// Byte tags are the post-compression stats deltas of this
@@ -303,7 +304,7 @@ func SyncReduce[V Value](g *Gluon, f Field[V], updated *bitset.Bitset) error {
 		}
 		remaining = removePeer(remaining, h)
 		if applyIdx < len(recvPeers) && h == recvPeers[applyIdx] {
-			err = decodeMsg(g, payload, recv.lists[h], apply)
+			err = decodeMsg(g, payload, recv.Lists[h], apply)
 			comm.PutBuf(payload)
 			if err != nil {
 				releaseStages(stages)
@@ -342,7 +343,7 @@ func SyncReduce[V Value](g *Gluon, f Field[V], updated *bitset.Bitset) error {
 			if tr {
 				t0 = rec.Now()
 			}
-			derr := decodeBody(g, body, recv.lists[hp], apply)
+			derr := decodeBody(g, body, recv.Lists[hp], apply)
 			comm.PutBuf(body)
 			if derr != nil {
 				releaseStages(stages)
@@ -407,13 +408,13 @@ func syncBroadcast[V Value](g *Gluon, f Field[V], updated *bitset.Bitset, struct
 			defer g.foldStats(&st)
 			lane := int32(1 + w)
 			for _, h := range sendPeers[lo:hi] {
-				order := send.lists[h]
+				order := send.Lists[h]
 				var t0 int64
 				var st0 Stats
 				if tr {
 					t0, st0 = rec.Now(), st
 				}
-				payload, _ := encodeMsg(g, order, send.masks[h], updated, gatherBcast, sc, &st)
+				payload, _ := encodeMsg(g, order, send.Masks[h], updated, gatherBcast, sc, &st)
 				hdr, payload := g.maybeCompress(f.ID, payload, sc, &st)
 				if tr {
 					rec.Emit(trace.Event{Phase: trace.PhaseEncode, Start: t0, Dur: rec.Now() - t0,
@@ -453,7 +454,7 @@ func syncBroadcast[V Value](g *Gluon, f Field[V], updated *bitset.Bitset, struct
 			t0 = rec.Now()
 		}
 		recvPeers = removePeer(recvPeers, h)
-		err = decodeMsg(g, payload, recv.lists[h], func(lid uint32, v V) {
+		err = decodeMsg(g, payload, recv.Lists[h], func(lid uint32, v V) {
 			f.Broadcast.Set(lid, v)
 			// Delivery activates the mirror even when the value is
 			// unchanged: the mirror that originated this round's best value
@@ -494,16 +495,16 @@ func releaseStages(stages [][]byte) {
 
 // peerLists fills the scratch with the peers this sync sends to and
 // receives from, skipping self and empty orders.
-func (ps *peerScratch) peerLists(hosts, me int, send, recv orderSet) (sendPeers, recvPeers []int) {
+func (ps *peerScratch) peerLists(hosts, me int, send, recv partition.Orders) (sendPeers, recvPeers []int) {
 	sendPeers, recvPeers = ps.send[:0], ps.recv[:0]
 	for h := 0; h < hosts; h++ {
 		if h == me {
 			continue
 		}
-		if len(send.lists[h]) > 0 {
+		if len(send.Lists[h]) > 0 {
 			sendPeers = append(sendPeers, h)
 		}
-		if len(recv.lists[h]) > 0 {
+		if len(recv.Lists[h]) > 0 {
 			recvPeers = append(recvPeers, h)
 		}
 	}

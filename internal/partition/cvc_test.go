@@ -139,6 +139,13 @@ func TestReassembleValidation(t *testing.T) {
 	if _, err := Reassemble(0, pol, g, []uint64{1, 2, 3}, 9, 4); err == nil {
 		t.Fatal("masters > proxies accepted")
 	}
+	if _, err := Reassemble(0, pol, g, []uint64{1, 0, 3}, 2, 4); err == nil {
+		t.Fatal("swapped masters accepted")
+	}
+	g4 := graph.Build(4, []graph.LocalEdge{{Src: 0, Dst: 2}, {Src: 1, Dst: 3}}, false)
+	if _, err := Reassemble(0, pol, g4, []uint64{0, 1, 3, 2}, 2, 4); err == nil {
+		t.Fatal("swapped mirrors accepted")
+	}
 	p, err := Reassemble(0, pol, g, []uint64{0, 1, 3}, 2, 4)
 	if err != nil {
 		t.Fatal(err)

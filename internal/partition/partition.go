@@ -19,7 +19,8 @@ type Partition struct {
 	Policy   Policy
 
 	// Graph is the local out-CSR over local IDs. Local IDs number masters
-	// first ([0, NumMasters)) then mirrors, each group sorted by global ID.
+	// first ([0, NumMasters)) then mirrors, each group strictly ascending by
+	// global ID; the memoization orders (§4.1) rely on this layout.
 	Graph *graph.CSR
 	// GIDs maps local ID → global ID.
 	GIDs []uint64
@@ -37,8 +38,12 @@ type Partition struct {
 
 	lidMap map[uint64]uint32
 
-	inGraphOnce sync.Once
-	inGraph     *graph.CSR
+	// Partition-invariant state derived on first use (InGraph,
+	// MirrorOrders) and shared read-only by every job on this partition.
+	inGraphOnce      sync.Once
+	inGraph          *graph.CSR
+	mirrorOrdersOnce sync.Once
+	mirrorOrders     *MirrorOrders
 }
 
 // LID translates a global ID to this host's local ID.
@@ -63,22 +68,62 @@ func (p *Partition) InGraph() *graph.CSR {
 	return p.inGraph
 }
 
-// MirrorGIDsByOwner groups this host's mirror global IDs by their master's
-// host, each group sorted ascending. This is the "mirrors" array each host
-// sends during Gluon's memoization exchange (§4.1).
-func (p *Partition) MirrorGIDsByOwner() [][]uint64 {
-	out := make([][]uint64, p.NumHosts)
-	for lid := p.NumMasters; lid < p.NumProxies(); lid++ {
-		g := p.GIDs[lid]
-		h := p.Policy.Owner(g)
-		out[h] = append(out[h], g)
+// Orders is a per-host family of local-ID orders, as the §4.1
+// memoization exchange fixes them: Lists[h] is the order shared with host
+// h, and Masks[h], when non-nil, its bitset.OrderMask, so the sync hot path
+// can intersect an order against an updated bitset a word at a time.
+type Orders struct {
+	Lists [][]uint32
+	Masks []*bitset.OrderMask
+}
+
+// NewOrders wraps per-host order lists, building a mask for every
+// non-empty list. A list that is not strictly lid-ascending gets a nil mask
+// and its users fall back to per-lid scans.
+func NewOrders(lists [][]uint32) Orders {
+	masks := make([]*bitset.OrderMask, len(lists))
+	for h, l := range lists {
+		if len(l) > 0 {
+			masks[h] = bitset.NewOrderMask(l)
+		}
 	}
-	// Mirrors are already sorted by GID within the local ID order, but be
-	// explicit: the wire order is part of the memoization contract.
-	for _, s := range out {
-		sort.Slice(s, func(a, b int) bool { return s[a] < s[b] })
-	}
-	return out
+	return Orders{Lists: lists, Masks: masks}
+}
+
+// MirrorOrders is the mirror side of the §4.1 memoization: All.Lists[h]
+// holds the local IDs of this host's mirrors whose master is on host h, in
+// agreed (GID-ascending) order, and In/Out the subsets with local in-/out-
+// edges (HasIn/HasOut, §3.2). The list for this host itself is empty.
+type MirrorOrders struct {
+	All, In, Out Orders
+}
+
+// MirrorOrders returns the mirror-side memoization orders, built on first
+// use and read-only afterwards, so concurrent jobs on one partition share
+// them. Mirrors occupy local IDs [NumMasters, NumProxies) in GID order, so
+// one walk grouping them by owner yields every list already in agreed
+// order.
+func (p *Partition) MirrorOrders() *MirrorOrders {
+	p.mirrorOrdersOnce.Do(func() {
+		all := make([][]uint32, p.NumHosts)
+		in := make([][]uint32, p.NumHosts)
+		out := make([][]uint32, p.NumHosts)
+		for lid := p.NumMasters; lid < p.NumProxies(); lid++ {
+			h := p.Policy.Owner(p.GIDs[lid])
+			if h == p.HostID {
+				continue
+			}
+			all[h] = append(all[h], lid)
+			if p.HasIn.Test(lid) {
+				in[h] = append(in[h], lid)
+			}
+			if p.HasOut.Test(lid) {
+				out[h] = append(out[h], lid)
+			}
+		}
+		p.mirrorOrders = &MirrorOrders{All: NewOrders(all), In: NewOrders(in), Out: NewOrders(out)}
+	})
+	return p.mirrorOrders
 }
 
 // Stats summarizes a set of partitions.
@@ -335,13 +380,21 @@ func Frozen(name string, bounds []uint64) (Policy, error) {
 }
 
 // Reassemble rebuilds a Partition from its serialized parts, recomputing
-// the global→local map and the structural flags from the local graph.
+// the global→local map and the structural flags from the local graph. It
+// rejects a layout whose masters or mirrors are not each strictly
+// GID-ascending.
 func Reassemble(hostID int, pol Policy, g *graph.CSR, gids []uint64, numMasters uint32, globalNodes uint64) (*Partition, error) {
 	if uint32(len(gids)) != g.NumNodes() {
 		return nil, fmt.Errorf("partition: %d GIDs for %d local nodes", len(gids), g.NumNodes())
 	}
 	if numMasters > uint32(len(gids)) {
 		return nil, fmt.Errorf("partition: %d masters among %d proxies", numMasters, len(gids))
+	}
+	for lid := 1; lid < len(gids); lid++ {
+		if lid != int(numMasters) && gids[lid] <= gids[lid-1] {
+			return nil, fmt.Errorf("partition: GID %d at local ID %d does not ascend past %d (masters and mirrors must each be strictly GID-ascending)",
+				gids[lid], lid, gids[lid-1])
+		}
 	}
 	lidMap := make(map[uint64]uint32, len(gids))
 	for lid, gid := range gids {

@@ -181,9 +181,10 @@ func TestLocalIDLayout(t *testing.T) {
 	}
 }
 
-// TestMirrorGIDsByOwnerSorted: memoization order is ascending GIDs per
-// owner, and all mirrors are covered.
-func TestMirrorGIDsByOwnerSorted(t *testing.T) {
+// TestMirrorOrdersSorted: memoization order is ascending GIDs per owner,
+// the In/Out subsets are the HasIn/HasOut members of it, and all mirrors
+// are covered.
+func TestMirrorOrdersSorted(t *testing.T) {
 	numNodes, edges, g := genEdges(t, 8)
 	opt := options(g, numNodes)
 	pol, err := NewPolicy(HVC, numNodes, 4, opt)
@@ -195,21 +196,41 @@ func TestMirrorGIDsByOwnerSorted(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range parts {
-		byOwner := p.MirrorGIDsByOwner()
+		mo := p.MirrorOrders()
 		total := 0
-		for h, gids := range byOwner {
-			for i, gid := range gids {
+		for h, lids := range mo.All.Lists {
+			var in, out int
+			for i, lid := range lids {
+				gid := p.GID(lid)
+				if p.IsMaster(lid) {
+					t.Fatalf("master %d listed as a mirror", lid)
+				}
 				if pol.Owner(gid) != h {
 					t.Fatalf("mirror %d listed under host %d, owner %d", gid, h, pol.Owner(gid))
 				}
-				if i > 0 && gids[i-1] >= gid {
+				if i > 0 && p.GID(lids[i-1]) >= gid {
 					t.Fatalf("mirrors for host %d not ascending", h)
 				}
+				if p.HasIn.Test(lid) {
+					in++
+				}
+				if p.HasOut.Test(lid) {
+					out++
+				}
 			}
-			total += len(gids)
+			if len(mo.In.Lists[h]) != in || len(mo.Out.Lists[h]) != out {
+				t.Fatalf("host %d: In/Out subsets %d/%d, want %d/%d", h, len(mo.In.Lists[h]), len(mo.Out.Lists[h]), in, out)
+			}
+			if (mo.All.Masks[h] != nil) != (len(lids) > 0) {
+				t.Fatalf("host %d: mask presence does not match a list of %d", h, len(lids))
+			}
+			total += len(lids)
 		}
 		if total != int(p.NumProxies()-p.NumMasters) {
 			t.Fatalf("mirror cover: %d of %d", total, p.NumProxies()-p.NumMasters)
+		}
+		if p.MirrorOrders() != mo {
+			t.Fatal("MirrorOrders rebuilt on a second call")
 		}
 	}
 }

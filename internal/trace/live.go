@@ -370,21 +370,36 @@ func (w *Watcher) readLoop() {
 			w.setErr(fmt.Errorf("trace: bad update frame: %w", err))
 			return
 		}
-		// Never block on a slow consumer: shed the oldest queued update —
-		// each one supersedes its predecessors anyway.
-		for {
-			select {
-			case w.ch <- u:
-			default:
-				select {
-				case <-w.ch:
-				default:
-				}
-				continue
-			}
-			break
+		// Never block on a slow consumer: shed the queued updates — each
+		// one supersedes its predecessors anyway.
+		select {
+		case w.ch <- u:
+		default:
+			w.shed(u)
 		}
 	}
+}
+
+// shed empties the full queue and requeues u behind the snapshot update, if
+// the consumer has not taken it yet. Only the snapshot replays the round
+// history, so it is the one update a slow consumer must not lose. readLoop
+// is the only sender, so after the drain both sends fit (cap >= 2).
+func (w *Watcher) shed(u ViewUpdate) {
+	var snap *ViewUpdate
+	for drained := false; !drained; {
+		select {
+		case old := <-w.ch:
+			if old.Snapshot {
+				snap = &old
+			}
+		default:
+			drained = true
+		}
+	}
+	if snap != nil {
+		w.ch <- *snap
+	}
+	w.ch <- u
 }
 
 // Updates streams ViewUpdates; the channel closes when the subscription

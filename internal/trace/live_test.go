@@ -298,3 +298,34 @@ func TestLiveShipperDisconnect(t *testing.T) {
 		t.Fatalf("sessions = (%d, %d), want (1, 0): no bye means not completed", acc, done)
 	}
 }
+
+// TestWatcherShedKeepsSnapshot: a consumer that falls a full queue behind
+// loses the superseded incremental updates but still receives the snapshot
+// first, followed by the newest update.
+func TestWatcherShedKeepsSnapshot(t *testing.T) {
+	w := &Watcher{ch: make(chan ViewUpdate, 4)}
+	w.ch <- ViewUpdate{Seq: 1, Snapshot: true}
+	for seq := int64(2); seq <= 4; seq++ {
+		w.ch <- ViewUpdate{Seq: seq}
+	}
+	w.shed(ViewUpdate{Seq: 5})
+	w.shed(ViewUpdate{Seq: 6})
+	if got := <-w.ch; !got.Snapshot || got.Seq != 1 {
+		t.Fatalf("first queued update = seq %d snapshot=%v, want the snapshot (seq 1)", got.Seq, got.Snapshot)
+	}
+	if got := <-w.ch; got.Snapshot || got.Seq != 6 {
+		t.Fatalf("second queued update = seq %d snapshot=%v, want seq 6", got.Seq, got.Snapshot)
+	}
+	if n := len(w.ch); n != 0 {
+		t.Fatalf("%d updates left in the queue, want 0", n)
+	}
+
+	// Once the snapshot has been consumed, shedding keeps only the newest.
+	for seq := int64(7); seq <= 10; seq++ {
+		w.ch <- ViewUpdate{Seq: seq}
+	}
+	w.shed(ViewUpdate{Seq: 11})
+	if got := <-w.ch; got.Seq != 11 || len(w.ch) != 0 {
+		t.Fatalf("after shedding got seq %d with %d left, want seq 11 alone", got.Seq, len(w.ch))
+	}
+}
