@@ -6,11 +6,11 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build golden-gate test race race-fault restore-gate bench sync-bench bench-pin perf perf-trend trace-guard trace-smoke watchdog-smoke doctor-smoke top-smoke
+.PHONY: check fmt vet build golden-gate perfbench-check test race race-fault restore-gate bench sync-bench perf perf-trend trace-guard trace-smoke watchdog-smoke doctor-smoke top-smoke
 
 # trace-guard runs before the race gates: it measures wall time, and the
 # race suites leave the machine hot enough to skew it.
-check: fmt vet build golden-gate trace-guard perf-trend trace-smoke watchdog-smoke doctor-smoke top-smoke race-fault restore-gate race
+check: fmt vet build perfbench-check golden-gate trace-guard perf-trend trace-smoke watchdog-smoke doctor-smoke top-smoke race-fault restore-gate race
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -24,6 +24,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The end-to-end benchmark is a nested module, so the root build, vet and
+# test skip it; it imports internal/bench and internal/perfdb, so vet and
+# test it on every check.
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # Golden gate: the byte-pinned volume, trace and example goldens, uncached.
 # The Go test cache does not key on GOMAXPROCS, so a cached pass could
@@ -54,27 +61,25 @@ restore-gate:
 bench:
 	$(GO) test -run=NONE -bench=SyncHotPath -benchmem ./internal/gluon/
 
-# Run the sync microbenchmark at the pinned parameters and append it to the
-# perfdb history (no snapshot write; use bench-pin to refresh BENCH_sync.json).
+# Record the sync-guard baseline: run the sync microbenchmark at the
+# guard's parameters and append it to the perfdb history as a sync-bench
+# record. trace-guard compares against the newest such record with the
+# same graph and worker count. One sync worker keeps allocs/op independent
+# of the host's CPU count.
 sync-bench:
-	$(GO) run ./cmd/gluon-bench -sync-record -perfdb BENCH_history.jsonl -scale 12 -edgefactor 8 -seed 7 -workers 0
-
-# Re-pin the BENCH_sync.json baseline in one step: take a fresh measurement
-# into the perfdb history, then project the newest record for this machine
-# back out as the snapshot (DESIGN.md §4.9).
-bench-pin: sync-bench
-	$(GO) run ./cmd/gluon-perf -db BENCH_history.jsonl -pin BENCH_sync.json
+	$(GO) run ./cmd/gluon-bench -sync-record -perfdb BENCH_history.jsonl -scale 12 -edgefactor 8 -seed 7 -workers 1
 
 # Hot-path guard: the sync hot path with tracing disabled must stay within
-# tolerance of the BENCH_sync.json baseline (DESIGN.md §4.3), gated across
-# all three compression tiers — off (auto), static threshold (comp-static),
-# and the adaptive CompressTuner policy (comp-adaptive) — plus the unopt
-# wire format (DESIGN.md §4.5). The gate is the self-calibrating opt/unopt
-# RATIO (DESIGN.md §4.9): machine speed cancels, so an unmodified checkout
-# passes on any machine without re-pinning; allocs/op must never regress.
-# Each run appends its measurement to BENCH_history.jsonl for gluon-perf.
+# tolerance of the newest sync-bench baseline in BENCH_history.jsonl
+# (DESIGN.md §4.3), gated across all three compression tiers — off
+# (auto), static threshold (comp-static), and the adaptive CompressTuner
+# policy (comp-adaptive) — plus the unopt wire format (DESIGN.md §4.5).
+# The gate is the self-calibrating opt/unopt RATIO (DESIGN.md §4.9):
+# machine speed cancels, so an unmodified checkout passes on any machine
+# without a new baseline; allocs/op must never regress. Each run appends
+# its measurement to the history as a sync-guard record for gluon-perf.
 trace-guard:
-	$(GO) run ./cmd/gluon-bench -sync-guard BENCH_sync.json -guard-mode ratio -guard-tol 0.10 -perfdb BENCH_history.jsonl -scale 12 -edgefactor 8 -seed 7 -workers 0
+	$(GO) run ./cmd/gluon-bench -sync-guard -guard-tol 0.10 -perfdb BENCH_history.jsonl -scale 12 -edgefactor 8 -seed 7 -workers 1
 
 # Trend smoke gate: build a short throwaway history at a small scale and run
 # the gluon-perf regression check over it — proves the record → history →
@@ -82,8 +87,8 @@ trace-guard:
 # this a plumbing gate, not a perf gate (trace-guard is the perf gate).
 perf-trend:
 	@rm -f /tmp/gluon-perf-trend.jsonl
-	$(GO) run ./cmd/gluon-bench -sync-record -perfdb /tmp/gluon-perf-trend.jsonl -scale 10 -edgefactor 8 -seed 7 -workers 0 -sync-tiers auto,unopt -sync-hosts 2
-	$(GO) run ./cmd/gluon-bench -sync-record -perfdb /tmp/gluon-perf-trend.jsonl -scale 10 -edgefactor 8 -seed 7 -workers 0 -sync-tiers auto,unopt -sync-hosts 2
+	$(GO) run ./cmd/gluon-bench -sync-record -perfdb /tmp/gluon-perf-trend.jsonl -scale 10 -edgefactor 8 -seed 7 -workers 1 -sync-tiers auto,unopt -sync-hosts 2
+	$(GO) run ./cmd/gluon-bench -sync-record -perfdb /tmp/gluon-perf-trend.jsonl -scale 10 -edgefactor 8 -seed 7 -workers 1 -sync-tiers auto,unopt -sync-hosts 2
 	$(GO) run ./cmd/gluon-perf -db /tmp/gluon-perf-trend.jsonl -check -tol 0.5
 
 # Trend tables over the committed history, grouped by machine fingerprint.

@@ -1,9 +1,9 @@
 // Command gluon-perf is the trend analyzer over the machine-fingerprinted
 // benchmark history (BENCH_history.jsonl) that gluon-bench appends to: it
 // prints per-benchmark trend tables and sparklines grouped by host
-// fingerprint, flags regressions (latest point vs trailing median, beyond
-// the noise band), and rebuilds BENCH_sync.json snapshots from the history
-// so re-pinning is a projection instead of an ad-hoc measurement.
+// fingerprint and flags regressions (latest point vs trailing median,
+// beyond the noise band). The same history holds the sync guard's baseline (the
+// newest sync-bench record), so there is no separate snapshot to keep.
 //
 // Usage:
 //
@@ -11,7 +11,6 @@
 //	gluon-perf -db path/to/history.jsonl    # explicit history
 //	gluon-perf -check                       # exit 1 if the newest record regresses
 //	gluon-perf -check -tol 0.08 -window 12  # wider band, longer trailing median
-//	gluon-perf -pin BENCH_sync.json         # snapshot the newest record for this host
 //	gluon-perf -fp 1a2b3c4d5e6f             # restrict tables to one machine class
 //
 // The regression check never compares across fingerprints: a new machine
@@ -25,7 +24,6 @@ import (
 	"fmt"
 	"os"
 
-	"gluon/internal/bench"
 	"gluon/internal/perfdb"
 	"gluon/internal/trace"
 )
@@ -38,9 +36,7 @@ func main() {
 		check  = flag.Bool("check", false, "flag regressions in the newest record vs its fingerprint's trailing history; exit 1 if any")
 		tol    = flag.Float64("tol", 0.05, "fractional ns/op regression allowed before noise widening (-check)")
 		window = flag.Int("window", 8, "trailing points forming the reference median and sparklines")
-		pin    = flag.String("pin", "", "write a BENCH_sync.json snapshot of the newest full record for this host's fingerprint to this file, then exit")
 		fp     = flag.String("fp", "", "restrict trend tables to this fingerprint ID (prefix match)")
-		label  = flag.String("label", "", "with -pin: restrict to records with this label (default: newest with snapshot coordinates)")
 	)
 	flag.Parse()
 
@@ -52,14 +48,7 @@ func main() {
 		logger.Warn("skipped unreadable history lines (torn append or foreign schema)", "path", *db, "lines", skipped)
 	}
 	if len(recs) == 0 {
-		fatal(fmt.Errorf("%s holds no readable records — run `make bench-pin` or `gluon-bench -sync-record -perfdb %s`", *db, *db))
-	}
-
-	if *pin != "" {
-		if err := pinSnapshot(*pin, recs, *label); err != nil {
-			fatal(err)
-		}
-		return
+		fatal(fmt.Errorf("%s holds no readable records — run `make sync-bench` or `gluon-bench -sync-record -perfdb %s`", *db, *db))
 	}
 
 	if *fp != "" {
@@ -91,39 +80,6 @@ func main() {
 		}
 		os.Exit(1)
 	}
-}
-
-// pinSnapshot rebuilds a BENCH_sync.json document from the newest record
-// carrying full snapshot coordinates, preferring this host's fingerprint
-// so a pin on a new machine starts that machine's own baseline.
-func pinSnapshot(path string, recs []perfdb.Record, label string) error {
-	host := perfdb.Probe().ID()
-	rec, err := perfdb.Latest(recs, label, host)
-	if err != nil {
-		// No record from this machine yet: fall back to the newest overall
-		// (the ratio gate is machine-independent, so a foreign snapshot
-		// still gates correctly; the absolute mode will refuse it).
-		if rec, err = perfdb.Latest(recs, label, ""); err != nil {
-			return fmt.Errorf("history holds no record to pin (label %q)", label)
-		}
-		logger.Warn("no record from this machine; pinning newest foreign record",
-			"record_fp", rec.FingerprintID, "host_fp", host)
-	}
-	rep, err := bench.ReportFromRecord(rec)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := bench.WriteReportJSON(f, rep); err != nil {
-		return err
-	}
-	logger.Info("pinned snapshot from history", "path", path, "fp", rep.FingerprintID,
-		"time", rec.Time.Format("2006-01-02T15:04:05Z"), "rows", len(rep.Results))
-	return nil
 }
 
 func fatal(err error) {

@@ -1,31 +1,27 @@
 package bench
 
-// Sync hot-path snapshot and regression gates: the same measurement as
-// BenchmarkSyncHotPath in internal/gluon, exported through gluon-bench as
-// machine-readable JSON (BENCH_sync.json at the repo root) and appended to
-// the machine-fingerprinted perfdb history (BENCH_history.jsonl) so
-// successive PRs have a perf trajectory to compare against. One result per
+// Sync hot-path measurement and regression guard: the same measurement
+// as BenchmarkSyncHotPath in internal/gluon, appended through gluon-bench
+// to the machine-fingerprinted perfdb history (BENCH_history.jsonl) so
+// successive changes have a perf trajectory to compare against. One row per
 // encoding mode × host count: wall time, bytes allocated, allocations, and
 // a MAD noise estimate per full cluster-wide Sync (every host encodes,
 // ships, receives, and applies one round).
 //
-// The `make check` gate is the self-calibrating RATIO gate (DESIGN.md
-// §4.9): it measures the unoptimized reference wire format and the
-// optimized tiers in the same process and compares the opt/unopt ratio
-// against the baseline's ratio, so the check passes on any machine — a 2×
-// faster host scales numerator and denominator together. Absolute ns/op
-// comparison (the pre-PR-10 gate that had to be re-pinned per machine)
-// survives as an explicit mode that refuses to run against a baseline
-// fingerprinted on different hardware.
+// The `make check` gate re-measures the guard tiers and compares them
+// against the newest sync-bench record of the history with
+// perfdb.CompareRatios, the self-calibrating opt/unopt ratio gate
+// (DESIGN.md §4.9). This package only measures; every comparison lives in
+// perfdb.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"os"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"gluon/internal/autotune"
 	"gluon/internal/bitset"
@@ -37,107 +33,6 @@ import (
 	"gluon/internal/perfdb"
 	"gluon/internal/trace"
 )
-
-// SyncReportSchema versions the BENCH_sync.json document. Version 2 added
-// the host fingerprint, per-row noise estimates, and the comm-volume
-// counters; version 1 (implicit, field absent) carried bare timings.
-const SyncReportSchema = 2
-
-// SyncBenchResult is one sync hot-path measurement.
-type SyncBenchResult struct {
-	Hosts       int    `json:"hosts"`
-	Encoding    string `json:"encoding"`
-	NsPerOp     int64  `json:"ns_per_op"`
-	BytesPerOp  int64  `json:"bytes_per_op"`
-	AllocsPerOp int64  `json:"allocs_per_op"`
-	// NoiseNs is the median absolute deviation of ns/op across the
-	// measurement reps — how trustworthy NsPerOp is on this machine right
-	// now. The ratio gate widens its tolerance by it.
-	NoiseNs int64 `json:"noise_ns,omitempty"`
-	// Reps is how many repetitions the min and MAD were taken over.
-	Reps int `json:"reps,omitempty"`
-}
-
-// Name is the perfdb series key for this row.
-func (r *SyncBenchResult) Name() string {
-	return fmt.Sprintf("sync/h=%d/%s", r.Hosts, r.Encoding)
-}
-
-// SyncBenchReport is the BENCH_sync.json document.
-type SyncBenchReport struct {
-	Schema  int    `json:"schema,omitempty"`
-	Graph   string `json:"graph"`
-	Workers int    `json:"sync_workers"`
-	// Fingerprint identifies the machine the snapshot was pinned on;
-	// FingerprintID is its hash, the history grouping key.
-	Fingerprint   *perfdb.Fingerprint `json:"fingerprint,omitempty"`
-	FingerprintID string              `json:"fingerprint_id,omitempty"`
-	// Comm carries the comm-volume counters from the traced probe run
-	// (trace ledger distillation), so the snapshot pins bytes as well as
-	// nanoseconds.
-	Comm    *perfdb.Comm      `json:"comm,omitempty"`
-	Results []SyncBenchResult `json:"results"`
-}
-
-// Record converts the report into a perfdb history record.
-func (rep *SyncBenchReport) Record(label string) *perfdb.Record {
-	rec := &perfdb.Record{
-		Label:   label,
-		Graph:   rep.Graph,
-		Workers: rep.Workers,
-		Comm:    rep.Comm,
-	}
-	if rep.Fingerprint != nil {
-		rec.Fingerprint = *rep.Fingerprint
-		rec.FingerprintID = rec.Fingerprint.ID()
-	}
-	for i := range rep.Results {
-		r := &rep.Results[i]
-		rec.Benchmarks = append(rec.Benchmarks, perfdb.BenchResult{
-			Name:        r.Name(),
-			Hosts:       r.Hosts,
-			Encoding:    r.Encoding,
-			NsPerOp:     r.NsPerOp,
-			BytesPerOp:  r.BytesPerOp,
-			AllocsPerOp: r.AllocsPerOp,
-			NoiseNs:     r.NoiseNs,
-			Reps:        r.Reps,
-		})
-	}
-	return rec
-}
-
-// ReportFromRecord rebuilds a BENCH_sync.json snapshot from a perfdb
-// history record — the `gluon-perf -pin` path, which makes re-pinning a
-// projection of the history instead of a fresh ad-hoc measurement.
-func ReportFromRecord(rec *perfdb.Record) (*SyncBenchReport, error) {
-	rep := &SyncBenchReport{
-		Schema:        SyncReportSchema,
-		Graph:         rec.Graph,
-		Workers:       rec.Workers,
-		Fingerprint:   &rec.Fingerprint,
-		FingerprintID: rec.FingerprintID,
-		Comm:          rec.Comm,
-	}
-	for _, b := range rec.Benchmarks {
-		if b.Hosts == 0 || b.Encoding == "" {
-			return nil, fmt.Errorf("bench: record benchmark %q has no hosts/encoding coordinates", b.Name)
-		}
-		rep.Results = append(rep.Results, SyncBenchResult{
-			Hosts:       b.Hosts,
-			Encoding:    b.Encoding,
-			NsPerOp:     b.NsPerOp,
-			BytesPerOp:  b.BytesPerOp,
-			AllocsPerOp: b.AllocsPerOp,
-			NoiseNs:     b.NoiseNs,
-			Reps:        b.Reps,
-		})
-	}
-	if len(rep.Results) == 0 {
-		return nil, errors.New("bench: record carries no benchmarks")
-	}
-	return rep, nil
-}
 
 // syncBenchCluster mirrors the BenchmarkSyncHotPath fixture through the
 // public API: per-host substrates over a CVC partitioning with a uint32
@@ -282,34 +177,20 @@ func compAdaptive() gluon.Options {
 	return opt
 }
 
-// AllSyncEncodings names every measurable encoding tier, in report order.
-func AllSyncEncodings() []string {
+// SyncBenchTiers measures the named encodings (see allEncodings for the
+// valid names; nil means all of them) at each host count.
+func SyncBenchTiers(p Params, hostCounts []int, names []string) (*perfdb.Record, error) {
 	all := allEncodings()
-	names := make([]string, len(all))
-	for i, e := range all {
-		names[i] = e.name
+	if names == nil {
+		return syncBenchFor(p, hostCounts, all)
 	}
-	return names
-}
-
-// SyncBenchTiers measures only the named encodings (see allEncodings for
-// the valid names) — the cheap path behind the perf-trend smoke gate and
-// the root-level ratio benchmark.
-func SyncBenchTiers(p Params, hostCounts []int, names []string) (*SyncBenchReport, error) {
-	all := allEncodings()
 	var specs []encSpec
 	for _, n := range names {
-		found := false
-		for _, e := range all {
-			if e.name == n {
-				specs = append(specs, e)
-				found = true
-				break
-			}
-		}
-		if !found {
+		i := slices.IndexFunc(all, func(e encSpec) bool { return e.name == n })
+		if i < 0 {
 			return nil, fmt.Errorf("bench: unknown sync encoding %q", n)
 		}
+		specs = append(specs, all[i])
 	}
 	return syncBenchFor(p, hostCounts, specs)
 }
@@ -324,13 +205,17 @@ func SyncBenchTiers(p Params, hostCounts []int, names []string) (*SyncBenchRepor
 // estimate.
 const measureReps = 8
 
-func syncBenchFor(p Params, hostCounts []int, encodings []encSpec) (*SyncBenchReport, error) {
+// syncGraph names the measured graph in a record; baselines match on it.
+func syncGraph(p Params) string {
+	return fmt.Sprintf("rmat scale=%d ef=%d seed=%d cvc", p.Scale, p.EdgeFactor, p.Seed)
+}
+
+func syncBenchFor(p Params, hostCounts []int, encodings []encSpec) (*perfdb.Record, error) {
 	fp := perfdb.Probe()
-	rep := &SyncBenchReport{
-		Schema:        SyncReportSchema,
-		Graph:         fmt.Sprintf("rmat scale=%d ef=%d seed=%d cvc", p.Scale, p.EdgeFactor, p.Seed),
+	rec := &perfdb.Record{
+		Graph:         syncGraph(p),
 		Workers:       p.Workers,
-		Fingerprint:   &fp,
+		Fingerprint:   fp,
 		FingerprintID: fp.ID(),
 	}
 	for _, hosts := range hostCounts {
@@ -371,7 +256,8 @@ func syncBenchFor(p Params, hostCounts []int, encodings []encSpec) (*SyncBenchRe
 			if benchErr != nil {
 				return nil, fmt.Errorf("sync bench hosts=%d %s: %w", hosts, e.name, benchErr)
 			}
-			rep.Results = append(rep.Results, SyncBenchResult{
+			rec.Benchmarks = append(rec.Benchmarks, perfdb.BenchResult{
+				Name:        fmt.Sprintf("sync/h=%d/%s", hosts, e.name),
 				Hosts:       hosts,
 				Encoding:    e.name,
 				NsPerOp:     best.NsPerOp(),
@@ -382,7 +268,7 @@ func syncBenchFor(p Params, hostCounts []int, encodings []encSpec) (*SyncBenchRe
 			})
 		}
 	}
-	return rep, nil
+	return rec, nil
 }
 
 func withEncoding(enc gluon.Encoding) func() gluon.Options {
@@ -447,399 +333,101 @@ func CommProbe(p Params, hosts int) (*perfdb.Comm, error) {
 	}, nil
 }
 
-// WriteReportJSON writes an already-built report as indented JSON (the
-// `gluon-perf -pin` snapshot path).
-func WriteReportJSON(w io.Writer, rep *SyncBenchReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
+// guardTiers are the rows the guard measures: the three compression tiers
+// — auto (compression off), comp-static (fixed threshold), comp-adaptive
+// (CompressTuner policy) — plus the unopt reference wire format. Together
+// they cover both wire formats, the whole compression decision surface,
+// and all instrumented paths; the forced-encoding rows only vary payload
+// layout.
+var guardTiers = []string{"auto", "unopt", "comp-static", "comp-adaptive"}
 
-// CompareSyncBench checks cur against base row by row (matched on
-// hosts × encoding) on ABSOLUTE numbers: time per op may regress by at
-// most tol (fractional, e.g. 0.05), allocations per op may not regress at
-// all (they are machine-independent, so any increase is a real hot-path
-// change). Rows present in only one report are ignored. All violations are
-// reported. Only meaningful when base and cur come from the same machine —
-// GuardSyncBench enforces that with the fingerprint check.
-func CompareSyncBench(base, cur *SyncBenchReport, tol float64) error {
-	type key struct {
-		hosts    int
-		encoding string
-	}
-	baseRows := make(map[key]SyncBenchResult, len(base.Results))
-	for _, r := range base.Results {
-		baseRows[key{r.Hosts, r.Encoding}] = r
-	}
-	var violations []string
-	for _, c := range cur.Results {
-		b, ok := baseRows[key{c.Hosts, c.Encoding}]
-		if !ok {
-			continue
-		}
-		if c.AllocsPerOp > b.AllocsPerOp {
-			violations = append(violations, fmt.Sprintf(
-				"hosts=%d %s: allocs/op regressed %d -> %d", c.Hosts, c.Encoding, b.AllocsPerOp, c.AllocsPerOp))
-		}
-		if limit := float64(b.NsPerOp) * (1 + tol); float64(c.NsPerOp) > limit {
-			violations = append(violations, fmt.Sprintf(
-				"hosts=%d %s: ns/op regressed %d -> %d (>%.0f%% over baseline)",
-				c.Hosts, c.Encoding, b.NsPerOp, c.NsPerOp, tol*100))
-		}
-	}
-	if len(violations) > 0 {
-		msg := "sync hot-path regression vs baseline:"
-		for _, v := range violations {
-			msg += "\n  " + v
-		}
-		return errors.New(msg)
-	}
-	return nil
-}
-
-// ratioNoiseCap bounds how far recorded rep noise may widen the ratio
-// band, so one chaotic measurement cannot disable the gate.
-const ratioNoiseCap = 0.25
-
-// refEncoding is the denominator of every ratio: the unoptimized
-// reference wire format, measured in the same process as the optimized
-// tiers.
-const refEncoding = "unopt"
-
-// CompareSyncRatios gates cur against base on the opt/unopt RATIO per
-// (hosts, tier): ratio_cur may exceed ratio_base by at most tol plus the
-// summed relative noise of the four measurements behind the two ratios
-// (capped at ratioNoiseCap). Machine speed cancels out of both sides, so
-// the comparison holds across hardware; allocations are still compared
-// absolutely because they are machine-independent. Rows missing a unopt
-// reference for their host count are skipped.
-func CompareSyncRatios(base, cur *SyncBenchReport, tol float64) error {
-	violations := ratioViolations(base, cur, tol)
-	if len(violations) == 0 {
-		return nil
-	}
-	msg := "sync hot-path ratio regression vs baseline (opt/unopt, machine-independent):"
-	for _, v := range violations {
-		msg += "\n  " + v.String()
-	}
-	return errors.New(msg)
-}
-
-// ratioViolation is one failed (hosts, tier) comparison.
-type ratioViolation struct {
-	Hosts      int
-	Encoding   string
-	BaseRatio  float64
-	CurRatio   float64
-	Band       float64
-	AllocsBase int64
-	AllocsCur  int64
-	Alloc      bool
-}
-
-func (v ratioViolation) String() string {
-	if v.Alloc {
-		return fmt.Sprintf("hosts=%d %s: allocs/op regressed %d -> %d", v.Hosts, v.Encoding, v.AllocsBase, v.AllocsCur)
-	}
-	return fmt.Sprintf("hosts=%d %s: opt/unopt ratio regressed %.3f -> %.3f (+%.1f%%, band +%.1f%%)",
-		v.Hosts, v.Encoding, v.BaseRatio, v.CurRatio, 100*(v.CurRatio/v.BaseRatio-1), 100*v.Band)
-}
-
-func rowIndex(rep *SyncBenchReport) map[string]*SyncBenchResult {
-	idx := make(map[string]*SyncBenchResult, len(rep.Results))
-	for i := range rep.Results {
-		r := &rep.Results[i]
-		idx[r.Name()] = r
-	}
-	return idx
-}
-
-func relNoise(r *SyncBenchResult) float64 {
-	if r.NsPerOp <= 0 {
-		return 0
-	}
-	return float64(r.NoiseNs) / float64(r.NsPerOp)
-}
-
-// ratioBand is the tolerance for one (hosts, tier) ratio comparison: tol
-// plus every contributing measurement's relative noise, capped.
-func ratioBand(tol float64, rows ...*SyncBenchResult) float64 {
-	noise := 0.0
-	for _, r := range rows {
-		noise += relNoise(r)
-	}
-	if noise > ratioNoiseCap {
-		noise = ratioNoiseCap
-	}
-	return tol + noise
-}
-
-func ratioViolations(base, cur *SyncBenchReport, tol float64) []ratioViolation {
-	baseIdx, curIdx := rowIndex(base), rowIndex(cur)
-	var out []ratioViolation
-	for _, c := range cur.Results {
-		b, ok := baseIdx[c.Name()]
-		if !ok {
-			continue
-		}
-		// Allocations gate every row, the reference included.
-		if c.AllocsPerOp > b.AllocsPerOp {
-			out = append(out, ratioViolation{Hosts: c.Hosts, Encoding: c.Encoding,
-				Alloc: true, AllocsBase: b.AllocsPerOp, AllocsCur: c.AllocsPerOp})
-		}
-		if c.Encoding == refEncoding {
-			continue
-		}
-		cRef := curIdx[(&SyncBenchResult{Hosts: c.Hosts, Encoding: refEncoding}).Name()]
-		bRef := baseIdx[(&SyncBenchResult{Hosts: c.Hosts, Encoding: refEncoding}).Name()]
-		if cRef == nil || bRef == nil || cRef.NsPerOp <= 0 || bRef.NsPerOp <= 0 || b.NsPerOp <= 0 {
-			continue
-		}
-		curRatio := float64(c.NsPerOp) / float64(cRef.NsPerOp)
-		baseRatio := float64(b.NsPerOp) / float64(bRef.NsPerOp)
-		cc := c
-		band := ratioBand(tol, &cc, cRef, b, bRef)
-		if curRatio > baseRatio*(1+band) {
-			out = append(out, ratioViolation{Hosts: c.Hosts, Encoding: c.Encoding,
-				BaseRatio: baseRatio, CurRatio: curRatio, Band: band})
-		}
-	}
-	return out
-}
-
-// GuardMode selects which comparison GuardSyncBench runs.
-type GuardMode string
-
-const (
-	// GuardRatio is the default self-calibrating gate: opt/unopt ratios,
-	// valid on any machine.
-	GuardRatio GuardMode = "ratio"
-	// GuardAbs is the legacy absolute-ns/op gate. It refuses to compare
-	// against a baseline fingerprinted on different hardware.
-	GuardAbs GuardMode = "abs"
-)
-
-// GuardOptions parameterizes GuardSyncBench beyond the tolerance.
-type GuardOptions struct {
-	Mode GuardMode
-	// ForceBaseline overrides the fingerprint refusal in GuardAbs mode.
-	ForceBaseline bool
-	// PerfDB, when non-empty, appends the guard's measurements (absolute
-	// numbers, noise, comm counters) to this history file regardless of
-	// gate outcome — the trajectory must record regressions too.
-	PerfDB string
-}
+// guardRetries is how many re-measure rounds rows over tolerance get. Five
+// because the DEFLATE tiers' floors take longer to surface on a small
+// machine, and a retry only ever lowers the estimate, so extra rounds
+// trade guard latency for gate stability without ever masking a real
+// regression.
+const guardRetries = 5
 
 // GuardSyncBench is the hot-path regression guard behind `make check`: it
-// re-measures the sync hot path with tracing disabled (the default — no
-// recorder attached) across the three compression tiers — auto
-// (compression off), comp-static (fixed threshold), comp-adaptive
-// (CompressTuner policy) — plus the unopt reference wire format, all in
-// the same process (DESIGN.md §4.5, §4.9). Together those cover both wire
-// formats, the whole compression decision surface, and all instrumented
-// paths; the forced-encoding rows only vary payload layout.
-//
-// In GuardRatio mode (the default) it gates on opt/unopt ratios with a
-// noise-aware band — machine-independent, so BENCH_sync.json never needs
-// re-pinning for hardware churn. In GuardAbs mode it gates absolute ns/op
-// like the pre-PR-10 guard, but refuses a baseline fingerprinted on a
-// different machine instead of silently failing against it. Allocation
-// regressions hard-fail in both modes.
+// re-measures the guard tiers with tracing disabled (the default — no
+// recorder attached), all in the same process (DESIGN.md §4.5, §4.9), and
+// gates them with perfdb.CompareRatios against the newest sync-bench
+// record in the history for the same graph and worker count. The ratio
+// gate is machine-independent, so the baseline never needs replacing for
+// hardware churn; allocation regressions hard-fail.
 //
 // Both the baseline and the guard measurement are min-over-reps (see
 // measureReps), so a tight tol stays meaningful on a noisy machine. Rows
-// that still exceed tol are re-measured up to guardRetries times before
-// the guard fails: a transient load spike clears on a later measurement, a
-// real hot-path regression does not. Allocation regressions are
-// deterministic, so retries never mask one.
-func GuardSyncBench(w io.Writer, p Params, baselinePath string, tol float64, opts GuardOptions) error {
-	if opts.Mode == "" {
-		opts.Mode = GuardRatio
-	}
-	data, err := os.ReadFile(baselinePath)
-	if err != nil {
-		return fmt.Errorf("bench: reading baseline: %w", err)
-	}
-	var base SyncBenchReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("bench: parsing baseline %s: %w", baselinePath, err)
-	}
-	host := perfdb.Probe()
-	fmt.Fprintf(w, "host fingerprint:     %s\n", host)
-	switch {
-	case base.Fingerprint != nil:
-		fmt.Fprintf(w, "baseline fingerprint: %s\n", *base.Fingerprint)
-	default:
-		fmt.Fprintf(w, "baseline fingerprint: unrecorded (schema v1 baseline — run `make bench-pin`)\n")
-	}
-	sameMachine := base.Fingerprint != nil && base.Fingerprint.ID() == host.ID()
-	if opts.Mode == GuardAbs && !sameMachine && !opts.ForceBaseline {
-		baseFP := "unrecorded"
-		if base.Fingerprint != nil {
-			baseFP = base.Fingerprint.String()
-		}
-		return fmt.Errorf("bench: refusing to gate absolute ns/op against a baseline pinned on a different machine:\n"+
-			"  baseline: %s\n  this host: %s\n"+
-			"absolute timings do not transfer across hardware — use the ratio gate (default), re-pin with `make bench-pin`, or override with -force-baseline",
-			baseFP, host)
-	}
-
-	guardOpts := map[string]func() gluon.Options{
-		"auto":          gluon.Opt,
-		"unopt":         gluon.Unopt,
-		"comp-static":   compStatic,
-		"comp-adaptive": compAdaptive,
-	}
-	guard := []encSpec{
-		{"auto", guardOpts["auto"]},
-		{"unopt", guardOpts["unopt"]},
-		{"comp-static", guardOpts["comp-static"]},
-		{"comp-adaptive", guardOpts["comp-adaptive"]},
-	}
-	cur, err := syncBenchFor(p, []int{2, 8}, guard)
+// that still exceed tol are re-measured, together with their host count's
+// unopt reference, up to guardRetries times before the guard fails: a
+// transient load spike clears on a later measurement, a real hot-path
+// regression does not. Allocation regressions are deterministic, so
+// retries never mask one. The guard appends its measurement to the
+// history whatever the outcome — the trajectory must record regressions
+// too.
+func GuardSyncBench(w io.Writer, p Params, history string, tol float64) error {
+	recs, _, err := perfdb.Read(history)
 	if err != nil {
 		return err
 	}
-	if cur.Graph != base.Graph || cur.Workers != base.Workers {
-		return fmt.Errorf("bench: guard config %q workers=%d does not match baseline %q workers=%d — rerun `make bench-pin`",
-			cur.Graph, cur.Workers, base.Graph, base.Workers)
+	base, err := perfdb.SyncBaseline(recs, syncGraph(p), p.Workers)
+	if err != nil {
+		return err
 	}
-	// Five re-measure rounds: the DEFLATE tiers' floors take longer to
-	// surface on a small machine, and a retry only ever lowers the
-	// estimate, so extra rounds trade guard latency for gate stability
-	// without ever masking a real regression. In ratio mode the unopt
-	// reference of an offending host count is re-measured alongside the
-	// tier — both ends of the ratio deserve the transient-load benefit.
-	const guardRetries = 5
+	fmt.Fprintf(w, "host fingerprint:     %s\n", perfdb.Probe())
+	fmt.Fprintf(w, "baseline fingerprint: %s (%s record of %s)\n",
+		base.Fingerprint, base.Label, base.Time.Format(time.RFC3339))
+	cur, err := SyncBenchTiers(p, []int{2, 8}, guardTiers)
+	if err != nil {
+		return err
+	}
+	row := func(name string) *perfdb.BenchResult {
+		return &cur.Benchmarks[slices.IndexFunc(cur.Benchmarks, func(b perfdb.BenchResult) bool { return b.Name == name })]
+	}
 	for retry := 0; retry < guardRetries; retry++ {
-		bad := violatingRows(&base, cur, tol, opts.Mode)
-		if len(bad) == 0 {
+		regs := perfdb.CompareRatios(base, cur, tol)
+		if len(regs) == 0 {
 			break
 		}
 		fmt.Fprintf(w, "re-measuring %d row(s) over tolerance (transient-load check %d/%d)\n",
-			len(bad), retry+1, guardRetries)
-		for _, i := range bad {
-			row := cur.Results[i]
-			names := []string{row.Encoding}
-			if opts.Mode == GuardRatio && row.Encoding != refEncoding {
-				names = append(names, refEncoding)
+			len(regs), retry+1, guardRetries)
+		for _, reg := range regs {
+			bad := row(reg.Name)
+			names := []string{bad.Encoding}
+			if bad.Encoding != perfdb.RefEncoding {
+				names = append(names, perfdb.RefEncoding)
 			}
 			for _, name := range names {
-				rp, err := syncBenchFor(p, []int{row.Hosts}, []encSpec{{name, guardOpts[name]}})
+				rp, err := SyncBenchTiers(p, []int{bad.Hosts}, []string{name})
 				if err != nil {
 					return err
 				}
-				nr := rp.Results[0]
-				for j := range cur.Results {
-					cr := &cur.Results[j]
-					if cr.Hosts == row.Hosts && cr.Encoding == name && nr.NsPerOp < cr.NsPerOp {
-						cr.NsPerOp = nr.NsPerOp
-						cr.NoiseNs = nr.NoiseNs
-					}
+				nr := rp.Benchmarks[0]
+				if cr := row(nr.Name); nr.NsPerOp < cr.NsPerOp {
+					cr.NsPerOp, cr.NoiseNs = nr.NsPerOp, nr.NoiseNs
 				}
-				fmt.Fprintf(w, "  hosts=%d %s: %d ns/op\n", row.Hosts, name, nr.NsPerOp)
+				fmt.Fprintf(w, "  hosts=%d %s: %d ns/op\n", bad.Hosts, name, nr.NsPerOp)
 			}
 		}
 	}
-	if opts.PerfDB != "" {
-		if comm, err := CommProbe(p, 2); err == nil {
-			cur.Comm = comm
-		} else {
-			fmt.Fprintf(w, "comm probe failed (history record carries timings only): %v\n", err)
-		}
-		if err := perfdb.Append(opts.PerfDB, cur.Record("sync-guard")); err != nil {
-			return fmt.Errorf("bench: recording guard measurement: %w", err)
-		}
-		fmt.Fprintf(w, "recorded to %s (gluon-perf shows the trajectory)\n", opts.PerfDB)
-	}
-	writeGuardTable(w, &base, cur, opts.Mode)
-	if opts.Mode == GuardAbs {
-		return CompareSyncBench(&base, cur, tol)
-	}
-	return CompareSyncRatios(&base, cur, tol)
-}
-
-// writeGuardTable prints the comparison the guard just gated on.
-func writeGuardTable(w io.Writer, base, cur *SyncBenchReport, mode GuardMode) {
-	baseIdx, curIdx := rowIndex(base), rowIndex(cur)
-	if mode == GuardRatio {
-		fmt.Fprintf(w, "%-6s %-14s %11s %11s %8s %7s %10s %10s\n",
-			"hosts", "tier", "base ratio", "cur ratio", "delta", "noise", "base a/op", "cur a/op")
+	if comm, err := CommProbe(p, 2); err == nil {
+		cur.Comm = comm
 	} else {
-		fmt.Fprintf(w, "%-6s %-14s %12s %12s %8s %10s %10s\n",
-			"hosts", "tier", "base ns/op", "cur ns/op", "delta", "base a/op", "cur a/op")
+		fmt.Fprintf(w, "comm probe failed (history record carries timings only): %v\n", err)
 	}
-	for _, c := range cur.Results {
-		b := baseIdx[c.Name()]
-		if mode == GuardAbs {
-			delta := "n/a"
-			var bNs, bAllocs int64
-			if b != nil {
-				bNs, bAllocs = b.NsPerOp, b.AllocsPerOp
-				if b.NsPerOp > 0 {
-					delta = fmt.Sprintf("%+.1f%%", 100*(float64(c.NsPerOp)/float64(b.NsPerOp)-1))
-				}
-			}
-			fmt.Fprintf(w, "%-6d %-14s %12d %12d %8s %10d %10d\n",
-				c.Hosts, c.Encoding, bNs, c.NsPerOp, delta, bAllocs, c.AllocsPerOp)
-			continue
-		}
-		if c.Encoding == refEncoding {
-			var bAllocs int64
-			if b != nil {
-				bAllocs = b.AllocsPerOp
-			}
-			fmt.Fprintf(w, "%-6d %-14s %11s %11s %8s %7s %10d %10d   (%d ns/op reference)\n",
-				c.Hosts, c.Encoding, "1.000", "1.000", "ref", "", bAllocs, c.AllocsPerOp, c.NsPerOp)
-			continue
-		}
-		cRef := curIdx[(&SyncBenchResult{Hosts: c.Hosts, Encoding: refEncoding}).Name()]
-		bRef := baseIdx[(&SyncBenchResult{Hosts: c.Hosts, Encoding: refEncoding}).Name()]
-		ratioStr, baseStr, deltaStr, noiseStr := "n/a", "n/a", "n/a", ""
-		var bAllocs int64
-		if cRef != nil && cRef.NsPerOp > 0 {
-			cc := c
-			curRatio := float64(c.NsPerOp) / float64(cRef.NsPerOp)
-			ratioStr = fmt.Sprintf("%.3f", curRatio)
-			noiseStr = fmt.Sprintf("±%.1f%%", 100*(relNoise(&cc)+relNoise(cRef)))
-			if b != nil && bRef != nil && bRef.NsPerOp > 0 {
-				baseRatio := float64(b.NsPerOp) / float64(bRef.NsPerOp)
-				baseStr = fmt.Sprintf("%.3f", baseRatio)
-				deltaStr = fmt.Sprintf("%+.1f%%", 100*(curRatio/baseRatio-1))
-			}
-		}
-		if b != nil {
-			bAllocs = b.AllocsPerOp
-		}
-		fmt.Fprintf(w, "%-6d %-14s %11s %11s %8s %7s %10d %10d\n",
-			c.Hosts, c.Encoding, baseStr, ratioStr, deltaStr, noiseStr, bAllocs, c.AllocsPerOp)
+	cur.Label = perfdb.LabelGuard
+	if err := perfdb.Append(history, cur); err != nil {
+		return fmt.Errorf("bench: recording guard measurement: %w", err)
 	}
-}
-
-// violatingRows returns indices into cur.Results whose row regresses
-// versus its baseline counterpart under the given mode.
-func violatingRows(base, cur *SyncBenchReport, tol float64, mode GuardMode) []int {
-	var bad []int
-	if mode == GuardAbs {
-		baseIdx := rowIndex(base)
-		for i, c := range cur.Results {
-			b, ok := baseIdx[c.Name()]
-			if !ok {
-				continue
-			}
-			if c.AllocsPerOp > b.AllocsPerOp || float64(c.NsPerOp) > float64(b.NsPerOp)*(1+tol) {
-				bad = append(bad, i)
-			}
-		}
-		return bad
+	fmt.Fprintf(w, "recorded to %s (gluon-perf shows the trajectory)\n", history)
+	perfdb.WriteRatioTable(w, base, cur)
+	regs := perfdb.CompareRatios(base, cur, tol)
+	if len(regs) == 0 {
+		return nil
 	}
-	for _, v := range ratioViolations(base, cur, tol) {
-		for i, c := range cur.Results {
-			if c.Hosts == v.Hosts && c.Encoding == v.Encoding {
-				bad = append(bad, i)
-				break
-			}
-		}
+	msg := "sync hot-path ratio regression vs baseline (opt/unopt, machine-independent):"
+	for _, r := range regs {
+		msg += "\n  " + r.String()
 	}
-	return bad
+	return errors.New(msg)
 }

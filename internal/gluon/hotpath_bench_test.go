@@ -5,7 +5,8 @@ package gluon_test
 // the engines drive every round. It runs one Sync per iteration across all
 // hosts of an in-process hub, per encoding mode and host count, with
 // b.ReportAllocs() so the steady-state allocation behaviour of the sync
-// pipeline is tracked release to release (see BENCH_sync.json).
+// pipeline is tracked release to release (`make sync-bench` records the
+// same measurement in BENCH_history.jsonl).
 
 import (
 	"fmt"

@@ -1,11 +1,14 @@
 // Package perfdb is the machine-fingerprinted, append-only benchmark
-// history behind the perf observability plane: every gluon-bench sync
-// measurement appends one schema-versioned JSONL record — host fingerprint,
-// per-benchmark min-over-reps timing with a noise estimate, and the
-// comm-volume counters lifted from the trace ledger — and cmd/gluon-perf
-// reads the accumulated history back for trend tables, regression checks,
-// and BENCH_sync.json snapshots. Appends are single-write lines so a crash
-// mid-append tears at most the trailing record, which Read tolerates.
+// history behind the perf observability plane, and the only store of
+// benchmark baselines: every gluon-bench sync measurement appends one
+// schema-versioned JSONL record — host fingerprint, per-benchmark
+// min-over-reps timing with a noise estimate, and the comm-volume counters
+// lifted from the trace ledger. Both regression engines read it back: the
+// same-machine trend check behind `gluon-perf -check` (Check) and the
+// machine-independent opt/unopt ratio gate behind `make trace-guard`
+// (CompareRatios against SyncBaseline). Appends are single-write lines so
+// a crash mid-append tears at most the trailing record, which Read
+// tolerates.
 package perfdb
 
 import (
@@ -26,8 +29,8 @@ type BenchResult struct {
 	// Name identifies the benchmark series ("sync/h=2/auto").
 	Name string `json:"name"`
 	// Hosts and Encoding are the sync-bench coordinates behind Name, kept
-	// structured so snapshots (BENCH_sync.json) can be rebuilt from a
-	// record without parsing names.
+	// structured so the ratio gate can pair each tier with its host
+	// count's reference row without parsing names.
 	Hosts    int    `json:"hosts,omitempty"`
 	Encoding string `json:"encoding,omitempty"`
 	// NsPerOp is the min-over-reps wall time: load spikes only ever
@@ -62,8 +65,8 @@ type Comm struct {
 type Record struct {
 	Schema int       `json:"schema"`
 	Time   time.Time `json:"time"`
-	// Label names the producing path ("sync-bench" full snapshots,
-	// "sync-guard" gate measurements).
+	// Label names the producing path (LabelBench full measurements,
+	// LabelGuard gate measurements).
 	Label       string      `json:"label,omitempty"`
 	Fingerprint Fingerprint `json:"fingerprint"`
 	// FingerprintID is Fingerprint.ID(), denormalized so grep and jq can
@@ -145,21 +148,15 @@ func Read(path string) (recs []Record, skipped int, err error) {
 	return recs, skipped, nil
 }
 
-// ErrEmpty is returned by Latest when the history holds no usable record.
+// ErrEmpty is returned by Latest when no record matches.
 var ErrEmpty = errors.New("perfdb: no records")
 
-// Latest returns the newest record (by file order) matching the optional
-// filters: label "" matches any label, fingerprintID "" any machine.
-func Latest(recs []Record, label, fingerprintID string) (*Record, error) {
+// Latest returns the newest record (by file order) that match accepts.
+func Latest(recs []Record, match func(*Record) bool) (*Record, error) {
 	for i := len(recs) - 1; i >= 0; i-- {
-		r := &recs[i]
-		if label != "" && r.Label != label {
-			continue
+		if match(&recs[i]) {
+			return &recs[i], nil
 		}
-		if fingerprintID != "" && r.FingerprintID != fingerprintID {
-			continue
-		}
-		return r, nil
 	}
 	return nil, ErrEmpty
 }

@@ -182,15 +182,15 @@ func TestLatest(t *testing.T) {
 	for i := range recs {
 		recs[i].FingerprintID = fp.ID()
 	}
-	got, err := Latest(recs, "sync-bench", "")
+	got, err := Latest(recs, func(r *Record) bool { return r.Label == "sync-bench" })
 	if err != nil || !got.Time.Equal(t0) {
 		t.Fatalf("Latest(sync-bench) = %v, %v", got, err)
 	}
-	got, err = Latest(recs, "", fp.ID())
+	got, err = Latest(recs, func(r *Record) bool { return r.FingerprintID == fp.ID() })
 	if err != nil || !got.Time.Equal(t0.Add(time.Hour)) {
 		t.Fatalf("Latest(fp) = %v, %v", got, err)
 	}
-	if _, err := Latest(recs, "nope", ""); err != ErrEmpty {
+	if _, err := Latest(recs, func(r *Record) bool { return r.Label == "nope" }); err != ErrEmpty {
 		t.Fatalf("Latest(nope) err = %v, want ErrEmpty", err)
 	}
 }

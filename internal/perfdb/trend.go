@@ -111,6 +111,10 @@ type CheckOptions struct {
 	MaxNoiseFrac float64
 }
 
+// maxNoiseFrac is the default cap on noise widening, shared by Check and
+// CompareRatios.
+const maxNoiseFrac = 0.25
+
 func (o *CheckOptions) defaults() {
 	if o.Tol == 0 {
 		o.Tol = 0.05
@@ -119,24 +123,38 @@ func (o *CheckOptions) defaults() {
 		o.Window = 8
 	}
 	if o.MaxNoiseFrac == 0 {
-		o.MaxNoiseFrac = 0.25
+		o.MaxNoiseFrac = maxNoiseFrac
 	}
 }
 
-// Regression is one flagged series: the latest point against the trailing
-// median, beyond the noise band (or an allocation increase, which no noise
-// excuses).
+// band is a gate's pass band: tol widened by the recorded noise fraction,
+// with the widening capped at maxNoise so a measurement that recorded
+// garbage noise cannot disable its own gate.
+func band(tol, noise, maxNoise float64) float64 {
+	return tol + min(noise, maxNoise)
+}
+
+// Regression is one flagged benchmark: the latest point against the
+// trailing median (Check) or its opt/unopt ratio against the baseline's
+// (CompareRatios), beyond the noise band — or an allocation increase,
+// which no noise excuses.
 type Regression struct {
 	FingerprintID string
 	Name          string
 	LatestNs      int64
 	MedianNs      int64
-	// DeltaFrac is latest/median - 1; BandFrac the tolerance it exceeded
-	// (tol + noise widening).
+	// BaseRatio and CurRatio are the opt/unopt ratios of a CompareRatios
+	// regression (zero for Check).
+	BaseRatio float64
+	CurRatio  float64
+	// DeltaFrac is latest/median - 1 (cur/base ratio - 1 for
+	// CompareRatios); BandFrac the tolerance it exceeded (tol + noise
+	// widening).
 	DeltaFrac float64
 	BandFrac  float64
 	// AllocRegression marks an allocs/op increase over the trailing
-	// minimum (deterministic, so always a real hot-path change).
+	// minimum or the baseline (deterministic, so always a real hot-path
+	// change).
 	AllocRegression bool
 	LatestAllocs    int64
 	BaseAllocs      int64
@@ -148,6 +166,10 @@ func (r Regression) String() string {
 	if r.AllocRegression {
 		return fmt.Sprintf("REGRESSION %s [fp %s]: allocs/op %d -> %d  %s",
 			r.Name, r.FingerprintID, r.BaseAllocs, r.LatestAllocs, r.Trend)
+	}
+	if r.CurRatio > 0 {
+		return fmt.Sprintf("REGRESSION %s [fp %s]: opt/unopt ratio %.3f -> %.3f (%+.1f%%, band +%.1f%%)",
+			r.Name, r.FingerprintID, r.BaseRatio, r.CurRatio, 100*r.DeltaFrac, 100*r.BandFrac)
 	}
 	return fmt.Sprintf("REGRESSION %s [fp %s]: latest %d ns/op vs trailing median %d (%+.1f%%, band +%.1f%%)  %s",
 		r.Name, r.FingerprintID, r.LatestNs, r.MedianNs, 100*r.DeltaFrac, 100*r.BandFrac, r.Trend)
@@ -192,14 +214,8 @@ func Check(recs []Record, o CheckOptions) []Regression {
 		if len(trailNoise) > o.Window {
 			trailNoise = trailNoise[len(trailNoise)-o.Window:]
 		}
-		nf := float64(noise) / float64(med)
-		if tn := float64(median(trailNoise)) / float64(med); tn > nf {
-			nf = tn
-		}
-		if nf > o.MaxNoiseFrac {
-			nf = o.MaxNoiseFrac
-		}
-		reg.BandFrac = o.Tol + nf
+		nf := max(float64(noise), float64(median(trailNoise))) / float64(med)
+		reg.BandFrac = band(o.Tol, nf, o.MaxNoiseFrac)
 		minAllocs := s.Allocs[0]
 		for _, a := range s.Allocs[:len(s.Allocs)-1] {
 			if a < minAllocs {
