@@ -32,12 +32,14 @@ perfbench-check:
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test ./...
 
-# Golden gate: the byte-pinned volume, trace and example goldens, uncached.
-# The Go test cache does not key on GOMAXPROCS, so a cached pass could
-# replay a result measured at another setting. GOMAXPROCS=2 joins this gate
-# once graph generation no longer depends on GOMAXPROCS (ROADMAP item 1).
+# Golden gate: the byte-pinned volume, trace and example goldens, uncached,
+# at GOMAXPROCS 1 and 2. The Go test cache does not key on GOMAXPROCS, so a
+# cached pass could replay a result measured at another setting. Graph
+# generation and partitioning are independent of GOMAXPROCS, so both
+# settings must reproduce the same bytes.
 golden-gate:
 	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestGoldenCommVolumes|TestTraceMatchesGoldenVolumes|TestSidebandMergedMatchesGoldenVolumes|TestHeterogeneousEngines|ExampleRun' ./ ./internal/dsys/
+	GOMAXPROCS=2 $(GO) test -count=1 -run 'TestGoldenCommVolumes|TestTraceMatchesGoldenVolumes|TestSidebandMergedMatchesGoldenVolumes|TestHeterogeneousEngines|ExampleRun' ./ ./internal/dsys/
 
 race:
 	$(GO) test -race ./...
@@ -77,23 +79,23 @@ sync-bench:
 # The gate is the self-calibrating opt/unopt RATIO (DESIGN.md §4.9):
 # machine speed cancels, so an unmodified checkout passes on any machine
 # without a new baseline; allocs/op must never regress. Each run appends
-# its measurement to the history as a sync-guard record for gluon-perf.
+# its measurement to the history as a sync-guard record for gluon-trace perf.
 trace-guard:
 	$(GO) run ./cmd/gluon-bench -sync-guard -guard-tol 0.10 -perfdb BENCH_history.jsonl -scale 12 -edgefactor 8 -seed 7 -workers 1
 
 # Trend smoke gate: build a short throwaway history at a small scale and run
-# the gluon-perf regression check over it — proves the record → history →
+# the gluon-trace perf regression check over it — proves the record → history →
 # trend-analysis path end to end on every check. The lenient tolerance keeps
 # this a plumbing gate, not a perf gate (trace-guard is the perf gate).
 perf-trend:
 	@rm -f /tmp/gluon-perf-trend.jsonl
 	$(GO) run ./cmd/gluon-bench -sync-record -perfdb /tmp/gluon-perf-trend.jsonl -scale 10 -edgefactor 8 -seed 7 -workers 1 -sync-tiers auto,unopt -sync-hosts 2
 	$(GO) run ./cmd/gluon-bench -sync-record -perfdb /tmp/gluon-perf-trend.jsonl -scale 10 -edgefactor 8 -seed 7 -workers 1 -sync-tiers auto,unopt -sync-hosts 2
-	$(GO) run ./cmd/gluon-perf -db /tmp/gluon-perf-trend.jsonl -check -tol 0.5
+	$(GO) run ./cmd/gluon-trace perf -db /tmp/gluon-perf-trend.jsonl -check -tol 0.5
 
 # Trend tables over the committed history, grouped by machine fingerprint.
 perf:
-	$(GO) run ./cmd/gluon-perf -db BENCH_history.jsonl
+	$(GO) run ./cmd/gluon-trace perf -db BENCH_history.jsonl
 
 # Watchdog smoke: a host deliberately stalled with FaultTransport delay
 # injection must be named — host ID and phase — by the watchdog and
@@ -109,14 +111,16 @@ doctor-smoke:
 	$(GO) test -race -count=1 -run 'TestDoctorSmoke' ./internal/dsys/
 
 # Top smoke: a traced in-process cluster shipped over the sideband with a
-# programmatic live subscription attached (the gluon-top path) must observe
+# programmatic live subscription attached (the gluon-trace top path) must observe
 # nonzero round progress and emit a critical-path verdict, under the race
 # detector (DESIGN.md §4.8).
 top-smoke:
 	$(GO) test -race -count=1 -run 'TestTopSmoke' ./internal/dsys/
 
 # Trace smoke: record a 4-host BFS run, then run the analyzer over the
-# export — proves the end-to-end trace path (emit, export, parse, tables).
+# export — proves the end-to-end trace path (emit, export, parse, tables,
+# critical-path attribution).
 trace-smoke:
 	$(GO) run ./cmd/gluon-run -bench bfs -hosts 4 -scale 10 -edgefactor 8 -trace /tmp/gluon-trace-smoke.json
 	$(GO) run ./cmd/gluon-trace /tmp/gluon-trace-smoke.json
+	$(GO) run ./cmd/gluon-trace -critical /tmp/gluon-trace-smoke.json

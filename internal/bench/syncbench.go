@@ -419,7 +419,7 @@ func GuardSyncBench(w io.Writer, p Params, history string, tol float64) error {
 	if err := perfdb.Append(history, cur); err != nil {
 		return fmt.Errorf("bench: recording guard measurement: %w", err)
 	}
-	fmt.Fprintf(w, "recorded to %s (gluon-perf shows the trajectory)\n", history)
+	fmt.Fprintf(w, "recorded to %s (gluon-trace perf shows the trajectory)\n", history)
 	perfdb.WriteRatioTable(w, base, cur)
 	regs := perfdb.CompareRatios(base, cur, tol)
 	if len(regs) == 0 {

@@ -12,8 +12,6 @@ package generate
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"gluon/internal/graph"
 )
@@ -86,47 +84,20 @@ func Edges(c Config) ([]graph.Edge, error) {
 	return edges, nil
 }
 
-// CSR generates the configured graph and assembles it into CSR form.
-func CSR(c Config) (*graph.CSR, error) {
-	edges, err := Edges(c)
-	if err != nil {
-		return nil, err
-	}
-	return graph.FromEdges(c.NumNodes(), edges, c.Weighted)
-}
-
 // rmat generates 2^scale nodes with edgeFactor*2^scale edges using the
-// recursive matrix method of Chakrabarti et al., parallelized across
-// workers. When noise is true a small deterministic perturbation is applied
-// to the quadrant probabilities at each level (standard RMAT practice);
-// without it the generator behaves like a Kronecker sampler.
+// recursive matrix method of Chakrabarti et al. from one serial stream, so
+// the edge list depends on the seed alone. When noise is true a small
+// deterministic perturbation is applied to the quadrant probabilities at
+// each level (standard RMAT practice); without it the generator behaves
+// like a Kronecker sampler.
 func rmat(c Config, a, b, cc, d float64, noise bool) []graph.Edge {
 	n := c.NumNodes()
-	m := c.NumEdges()
-	edges := make([]graph.Edge, m)
-	workers := parallelism()
-	var wg sync.WaitGroup
-	chunk := (m + uint64(workers) - 1) / uint64(workers)
-	for w := 0; w < workers; w++ {
-		lo := uint64(w) * chunk
-		if lo >= m {
-			break
-		}
-		hi := lo + chunk
-		if hi > m {
-			hi = m
-		}
-		wg.Add(1)
-		go func(w int, lo, hi uint64) {
-			defer wg.Done()
-			r := newRNG(c.Seed ^ uint64(w)*0x9e3779b97f4a7c15 ^ 0x25a7)
-			for i := lo; i < hi; i++ {
-				src, dst := rmatEdge(r, c.Scale, n, a, b, cc, d, noise)
-				edges[i] = graph.Edge{Src: src, Dst: dst}
-			}
-		}(w, lo, hi)
+	edges := make([]graph.Edge, c.NumEdges())
+	r := newRNG(c.Seed ^ 0x25a7)
+	for i := range edges {
+		src, dst := rmatEdge(r, c.Scale, n, a, b, cc, d, noise)
+		edges[i] = graph.Edge{Src: src, Dst: dst}
 	}
-	wg.Wait()
 	return edges
 }
 
@@ -170,35 +141,17 @@ func webcrawl(c Config, inExp, outExp float64) []graph.Edge {
 	// We use the standard trick: node i has weight (i+1)^-exp under a random
 	// permutation, sampled via inverse-CDF approximation.
 	edges := make([]graph.Edge, m)
-	workers := parallelism()
-	var wg sync.WaitGroup
-	chunk := (m + uint64(workers) - 1) / uint64(workers)
 	permSeed := c.Seed ^ 0xbadc0ffee
-	for w := 0; w < workers; w++ {
-		lo := uint64(w) * chunk
-		if lo >= m {
-			break
+	r := newRNG(c.Seed ^ 0xc4a31)
+	for i := range edges {
+		src := zipfSample(r, n, outExp)
+		dst := zipfSample(r, n, inExp)
+		// Scatter hub identities so hubs for in and out differ.
+		edges[i] = graph.Edge{
+			Src: scramble(src, permSeed) % n,
+			Dst: scramble(dst, permSeed^0x5bd1e995) % n,
 		}
-		hi := lo + chunk
-		if hi > m {
-			hi = m
-		}
-		wg.Add(1)
-		go func(w int, lo, hi uint64) {
-			defer wg.Done()
-			r := newRNG(c.Seed ^ uint64(w)*0x2545F4914F6CDD1D ^ 0xc4a31)
-			for i := lo; i < hi; i++ {
-				src := zipfSample(r, n, outExp)
-				dst := zipfSample(r, n, inExp)
-				// Scatter hub identities so hubs for in and out differ.
-				edges[i] = graph.Edge{
-					Src: scramble(src, permSeed) % n,
-					Dst: scramble(dst, permSeed^0x5bd1e995) % n,
-				}
-			}
-		}(w, lo, hi)
 	}
-	wg.Wait()
 	return edges
 }
 
@@ -213,17 +166,14 @@ func zipfSample(r *rng, n uint64, exp float64) uint64 {
 	// Inverse CDF of p(x) ~ x^-exp on [1, n]:
 	// x = ((1-u) + u*n^(1-exp))^(1/(1-exp))
 	oneMinus := 1 - exp
-	nPow := powf(float64(n), oneMinus)
-	x := powf((1-u)+u*nPow, 1/oneMinus)
+	nPow := math.Pow(float64(n), oneMinus)
+	x := math.Pow((1-u)+u*nPow, 1/oneMinus)
 	k := uint64(x) - 1
 	if k >= n {
 		k = n - 1
 	}
 	return k
 }
-
-// powf aliases math.Pow so the sampler reads cleanly.
-func powf(x, y float64) float64 { return math.Pow(x, y) }
 
 // scramble applies a Feistel-free multiplicative hash permutation-ish map on
 // [0, 2^64); collisions modulo n are acceptable for workload generation.
@@ -290,34 +240,8 @@ func star(c Config) []graph.Edge {
 
 // addWeights assigns deterministic weights in [1, maxW].
 func addWeights(edges []graph.Edge, seed uint64, maxW uint32) {
-	workers := parallelism()
-	var wg sync.WaitGroup
-	chunk := (len(edges) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(edges) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(edges) {
-			hi = len(edges)
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			r := newRNG(seed ^ uint64(w)*0x9E3779B97F4A7C15)
-			for i := lo; i < hi; i++ {
-				edges[i].Weight = uint32(r.Uint64n(uint64(maxW))) + 1
-			}
-		}(w, lo, hi)
+	r := newRNG(seed)
+	for i := range edges {
+		edges[i].Weight = uint32(r.Uint64n(uint64(maxW))) + 1
 	}
-	wg.Wait()
-}
-
-func parallelism() int {
-	p := runtime.GOMAXPROCS(0)
-	if p < 1 {
-		p = 1
-	}
-	return p
 }

@@ -1,6 +1,9 @@
 package generate
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"gluon/internal/graph"
@@ -24,6 +27,34 @@ func TestDeterminism(t *testing.T) {
 			if a[i] != b[i] {
 				t.Fatalf("%s: edge %d differs: %v vs %v", kind, i, a[i], b[i])
 			}
+		}
+	}
+}
+
+// TestIndependentOfGOMAXPROCS: the edge list is a function of the config
+// alone — the same seed yields the same bytes on a 1-core and a 4-core
+// machine, so golden volumes hold on any host.
+func TestIndependentOfGOMAXPROCS(t *testing.T) {
+	digest := func(kind string) [sha256.Size]byte {
+		edges, err := Edges(Config{Kind: kind, Scale: 10, EdgeFactor: 4, Seed: 123, Weighted: true})
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		h := sha256.New()
+		for _, e := range edges {
+			binary.Write(h, binary.LittleEndian, e)
+		}
+		var sum [sha256.Size]byte
+		h.Sum(sum[:0])
+		return sum
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, kind := range []string{"rmat", "kron", "webcrawl", "twitterlike", "random", "grid", "chain", "star"} {
+		runtime.GOMAXPROCS(1)
+		one := digest(kind)
+		runtime.GOMAXPROCS(4)
+		if four := digest(kind); four != one {
+			t.Errorf("%s: edges at GOMAXPROCS=4 differ from GOMAXPROCS=1 (sha256 %x vs %x)", kind, four[:8], one[:8])
 		}
 	}
 }

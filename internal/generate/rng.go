@@ -1,5 +1,7 @@
 package generate
 
+import "math/bits"
+
 // rng is a small, fast, deterministic pseudo-random generator
 // (xoshiro256**-style core seeded by splitmix64). Generators in this package
 // must be reproducible across runs and platforms so that experiments are
@@ -40,9 +42,6 @@ func (r *rng) Uint64() uint64 {
 	return result
 }
 
-// Uint32 returns the next 32 pseudo-random bits.
-func (r *rng) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
-
 // Float64 returns a uniform float64 in [0, 1).
 func (r *rng) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
@@ -51,26 +50,12 @@ func (r *rng) Float64() float64 {
 // Uint64n returns a uniform value in [0, n). n must be > 0.
 func (r *rng) Uint64n(n uint64) uint64 {
 	// Lemire's multiply-shift rejection method.
-	hi, lo := mul64(r.Uint64(), n)
+	hi, lo := bits.Mul64(r.Uint64(), n)
 	if lo < n {
 		thresh := -n % n
 		for lo < thresh {
-			hi, lo = mul64(r.Uint64(), n)
+			hi, lo = bits.Mul64(r.Uint64(), n)
 		}
 	}
 	return hi
-}
-
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	x0, x1 := x&mask32, x>>32
-	y0, y1 := y&mask32, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += x0 * y1
-	hi = x1*y1 + w2 + w1>>32
-	lo = x * y
-	return
 }

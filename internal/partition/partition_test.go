@@ -2,6 +2,8 @@ package partition
 
 import (
 	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -29,6 +31,32 @@ func options(g *graph.CSR, numNodes uint64) Options {
 		out[u] = g.OutDegree(u)
 	}
 	return Options{OutDegrees: out, InDegrees: g.InDegrees()}
+}
+
+// TestIndependentOfGOMAXPROCS: bucketEdges takes its worker count from
+// GOMAXPROCS but merges the workers' contiguous chunks in worker order, so
+// every policy builds identical partitions on a 1-core and a 4-core host.
+func TestIndependentOfGOMAXPROCS(t *testing.T) {
+	numNodes, edges, g := genEdges(t, 12)
+	opt := options(g, numNodes)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, kind := range AllKinds() {
+		pol, err := NewPolicy(kind, numNodes, 4, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		build := func(procs int) []*Partition {
+			runtime.GOMAXPROCS(procs)
+			parts, err := PartitionAll(numNodes, edges, pol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return parts
+		}
+		if one, four := build(1), build(4); !reflect.DeepEqual(one, four) {
+			t.Errorf("%s: partitions at GOMAXPROCS=4 differ from GOMAXPROCS=1", kind)
+		}
+	}
 }
 
 // TestEveryEdgeAssignedOnce: across all hosts, the partitioned graphs

@@ -4,7 +4,7 @@
 // schema-versioned JSONL record — host fingerprint, per-benchmark
 // min-over-reps timing with a noise estimate, and the comm-volume counters
 // lifted from the trace ledger. Both regression engines read it back: the
-// same-machine trend check behind `gluon-perf -check` (Check) and the
+// same-machine trend check behind `gluon-trace perf -check` (Check) and the
 // machine-independent opt/unopt ratio gate behind `make trace-guard`
 // (CompareRatios against SyncBaseline). Appends are single-write lines so
 // a crash mid-append tears at most the trailing record, which Read

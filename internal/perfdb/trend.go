@@ -2,7 +2,7 @@ package perfdb
 
 // Trend analysis over the append-only history: series extraction grouped
 // by (fingerprint, benchmark), sparkline rendering, and the regression
-// check behind `gluon-perf -check`. Comparison never crosses fingerprints
+// check behind `gluon-trace perf -check`. Comparison never crosses fingerprints
 // — a 2× faster machine starts a fresh series instead of tripping (or
 // masking) a gate — and the pass band widens with the series' own recorded
 // noise, so a quiet machine gates tighter than a noisy one.
@@ -236,7 +236,7 @@ func Check(recs []Record, o CheckOptions) []Regression {
 }
 
 // WriteTrends prints per-benchmark trend tables grouped by fingerprint,
-// the `gluon-perf` default view. window caps the sparkline and median
+// the `gluon-trace perf` default view. window caps the sparkline and median
 // scope (0 = CheckOptions default).
 func WriteTrends(w io.Writer, recs []Record, window int) error {
 	if window == 0 {

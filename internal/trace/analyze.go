@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 )
@@ -10,7 +11,7 @@ import (
 // Summary is the offline rollup of a trace: the paper-style tables —
 // per-round communication volume, per-peer skew, phase time breakdown, and
 // the encoding-mode histogram — that otherwise require hand-instrumenting a
-// run. Build one with Summarize; print it with WriteTables.
+// run. Build one with SummarizeMeta; print it with WriteTables.
 type Summary struct {
 	Label   string `json:"label,omitempty"`
 	Events  int    `json:"events"`
@@ -78,121 +79,101 @@ type PeerStat struct {
 	Bytes    uint64 `json:"bytes"`
 }
 
-// Summarize rolls events up into a Summary. The dropped count is carried
-// through for display.
-func Summarize(label string, events []Event, dropped uint64) *Summary {
-	return SummarizeMeta(Meta{Label: label, Dropped: dropped}, events)
-}
-
 // SummarizeMeta rolls events up into a Summary, carrying the export metadata
 // (label, dropped count, clock table) through for display.
 func SummarizeMeta(meta Meta, events []Event) *Summary {
-	s := &Summary{Label: meta.Label, Events: len(events), Dropped: meta.Dropped, Clocks: meta.Clocks, Sessions: meta.Sessions}
-	if len(events) == 0 {
-		return s
+	return buildAll(meta, events).summary(meta)
+}
+
+// tally is the analyzer's share of a CriticalBuilder: the volume, peer,
+// phase, mode and fault counts, taken on every event before the builder
+// filters it, so a late event still counts toward the totals. The round
+// rows' time columns are filled as the builder finalizes each round.
+type tally struct {
+	s                Summary // the totals, modes and faults
+	rounds           map[int32]*RoundStat
+	peers            map[[2]int32]*PeerStat
+	phases           [NumPhases]PhaseStat
+	hosts            map[int32]bool
+	minStart, maxEnd int64
+}
+
+func (t *tally) round(r int32) *RoundStat {
+	if t.rounds[r] == nil {
+		t.rounds[r] = &RoundStat{Round: r}
 	}
-	type hostRound struct {
-		host  int32
-		round int32
+	return t.rounds[r]
+}
+
+func (t *tally) add(e *Event, start int64) {
+	if t.s.Events == 0 {
+		t.minStart, t.maxEnd = start, start
 	}
-	rounds := map[int32]*RoundStat{}
-	perHostRound := map[hostRound]*[3]int64{} // sync, compute, barrier sums
-	peers := map[[2]int32]*PeerStat{}
-	hosts := map[int32]bool{}
-	var phases [NumPhases]PhaseStat
-	minStart, maxEnd := events[0].Start, events[0].Start
-	for i := range events {
-		e := &events[i]
-		hosts[e.Host] = true
-		if e.Start < minStart {
-			minStart = e.Start
-		}
-		if end := e.Start + e.Dur; end > maxEnd {
-			maxEnd = end
-		}
-		if e.Phase < NumPhases {
-			phases[e.Phase].Count++
-			phases[e.Phase].TotalNs += e.Dur
-		}
-		r := rounds[e.Round]
-		if r == nil {
-			r = &RoundStat{Round: e.Round}
-			rounds[e.Round] = r
-		}
-		switch e.Phase {
-		case PhaseEncode:
-			r.Messages++
-			r.Value += e.Value
-			r.Meta += e.Meta
-			r.GID += e.GID
-			s.Messages++
-			s.ValueBytes += e.Value
-			s.MetaBytes += e.Meta
-			s.GIDBytes += e.GID
-			if e.Mode >= 0 && e.Mode < NumModes {
-				s.Modes[e.Mode]++
-			}
-			switch e.Comp {
-			case CompShipped:
-				s.Compressed++
-				s.CompressionSaved += e.Saved
-			case CompSkipped:
-				s.CompressSkipped++
-			}
-			p := peers[[2]int32{e.Host, e.Peer}]
-			if p == nil {
-				p = &PeerStat{Host: e.Host, Peer: e.Peer}
-				peers[[2]int32{e.Host, e.Peer}] = p
-			}
-			p.Messages++
-			p.Bytes += e.Bytes()
-		case PhaseSync, PhaseCompute, PhaseBarrier:
-			hr := perHostRound[hostRound{e.Host, e.Round}]
-			if hr == nil {
-				hr = &[3]int64{}
-				perHostRound[hostRound{e.Host, e.Round}] = hr
-			}
-			switch e.Phase {
-			case PhaseSync:
-				hr[0] += e.Dur
-			case PhaseCompute:
-				hr[1] += e.Dur
-			case PhaseBarrier:
-				hr[2] += e.Dur
-			}
-		case PhaseFault:
-			s.Faults = append(s.Faults, *e)
-		}
+	t.s.Events++
+	t.hosts[e.Host] = true
+	t.minStart = min(t.minStart, start)
+	t.maxEnd = max(t.maxEnd, start+e.Dur)
+	if e.Phase < NumPhases {
+		t.phases[e.Phase].Phase = e.Phase
+		t.phases[e.Phase].Count++
+		t.phases[e.Phase].TotalNs += e.Dur
 	}
-	// Max across hosts per round.
-	for hr, sums := range perHostRound {
-		r := rounds[hr.round]
-		if r == nil {
-			continue
+	r := t.round(e.Round)
+	switch e.Phase {
+	case PhaseEncode:
+		r.Messages++
+		r.Value += e.Value
+		r.Meta += e.Meta
+		r.GID += e.GID
+		t.s.Messages++
+		t.s.ValueBytes += e.Value
+		t.s.MetaBytes += e.Meta
+		t.s.GIDBytes += e.GID
+		if e.Mode >= 0 && e.Mode < NumModes {
+			t.s.Modes[e.Mode]++
 		}
-		if sums[0] > r.SyncNs {
-			r.SyncNs = sums[0]
+		switch e.Comp {
+		case CompShipped:
+			t.s.Compressed++
+			t.s.CompressionSaved += e.Saved
+		case CompSkipped:
+			t.s.CompressSkipped++
 		}
-		if sums[1] > r.ComputeNs {
-			r.ComputeNs = sums[1]
+		k := [2]int32{e.Host, e.Peer}
+		if t.peers[k] == nil {
+			t.peers[k] = &PeerStat{Host: e.Host, Peer: e.Peer}
 		}
-		if sums[2] > r.BarrierNs {
-			r.BarrierNs = sums[2]
-		}
+		t.peers[k].Messages++
+		t.peers[k].Bytes += e.Bytes()
+	case PhaseFault:
+		f := *e
+		f.Start = start
+		t.s.Faults = append(t.s.Faults, f)
 	}
-	s.Hosts = len(hosts)
-	s.WallNs = maxEnd - minStart
-	for _, r := range rounds {
+}
+
+// summary reads the analyzer tables off the builder: the tallies above
+// plus, per round, the max across hosts of each host's compute, sync and
+// barrier segments. Rounds still open have no time columns yet.
+func (b *CriticalBuilder) summary(meta Meta) *Summary {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	t := &b.tally
+	s := t.s
+	s.Label, s.Dropped, s.Clocks, s.Sessions = meta.Label, meta.Dropped, meta.Clocks, meta.Sessions
+	s.Hosts = len(t.hosts)
+	s.WallNs = t.maxEnd - t.minStart
+	s.Faults = slices.Clone(t.s.Faults)
+	for _, r := range t.rounds {
 		s.Rounds = append(s.Rounds, *r)
 	}
 	sort.Slice(s.Rounds, func(i, j int) bool { return s.Rounds[i].Round < s.Rounds[j].Round })
 	for p := Phase(0); p < NumPhases; p++ {
-		if phases[p].Count > 0 {
-			phases[p].Phase = p
-			s.Phases = append(s.Phases, phases[p])
+		if t.phases[p].Count > 0 {
+			s.Phases = append(s.Phases, t.phases[p])
 		}
 	}
-	for _, p := range peers {
+	for _, p := range t.peers {
 		s.Peers = append(s.Peers, *p)
 	}
 	// The peer table is a skew table: the point is the heaviest channels, so
@@ -208,7 +189,7 @@ func SummarizeMeta(meta Meta, events []Event) *Summary {
 		return s.Peers[i].Peer < s.Peers[j].Peer
 	})
 	sort.Slice(s.Faults, func(i, j int) bool { return s.Faults[i].Start < s.Faults[j].Start })
-	return s
+	return &s
 }
 
 // TotalBytes is the summed payload volume over all messages.
@@ -225,10 +206,10 @@ func (s *Summary) WriteTables(w io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(w, "totals: %d messages, %s (value %s / metadata %s / gids %s)\n",
-		s.Messages, fmtBytes(s.TotalBytes()), fmtBytes(s.ValueBytes), fmtBytes(s.MetaBytes), fmtBytes(s.GIDBytes))
+		s.Messages, FormatBytes(s.TotalBytes()), FormatBytes(s.ValueBytes), FormatBytes(s.MetaBytes), FormatBytes(s.GIDBytes))
 	if s.Compressed > 0 || s.CompressSkipped > 0 {
 		fmt.Fprintf(w, "compression: %d shipped compressed / %d raw, %s saved on the wire\n",
-			s.Compressed, s.CompressSkipped, fmtBytes(s.CompressionSaved))
+			s.Compressed, s.CompressSkipped, FormatBytes(s.CompressionSaved))
 	}
 	if len(s.Clocks) > 0 {
 		fmt.Fprint(w, "clock offsets (applied at merge):")
@@ -266,7 +247,7 @@ func (s *Summary) WriteTables(w io.Writer) error {
 				name = "init"
 			}
 			fmt.Fprintf(w, "%6s %8d %10s %10s %10s %12v %12v %12v\n",
-				name, r.Messages, fmtBytes(r.Value), fmtBytes(r.Meta), fmtBytes(r.GID),
+				name, r.Messages, FormatBytes(r.Value), FormatBytes(r.Meta), FormatBytes(r.GID),
 				round3(time.Duration(r.SyncNs)), round3(time.Duration(r.ComputeNs)), round3(time.Duration(r.BarrierNs)))
 		}
 		fmt.Fprintln(w)
@@ -280,7 +261,7 @@ func (s *Summary) WriteTables(w io.Writer) error {
 		fmt.Fprintln(w, "per-peer volume (sender -> receiver, heaviest first):")
 		fmt.Fprintf(w, "%6s %6s %8s %10s\n", "host", "peer", "msgs", "bytes")
 		for _, p := range rows {
-			fmt.Fprintf(w, "%6d %6d %8d %10s\n", p.Host, p.Peer, p.Messages, fmtBytes(p.Bytes))
+			fmt.Fprintf(w, "%6d %6d %8d %10s\n", p.Host, p.Peer, p.Messages, FormatBytes(p.Bytes))
 		}
 		if n := len(s.Peers) - len(rows); n > 0 {
 			fmt.Fprintf(w, "  … %d lighter pairs elided (-top to adjust)\n", n)
@@ -335,8 +316,8 @@ func round3(d time.Duration) time.Duration {
 	}
 }
 
-// fmtBytes renders byte counts with binary-prefix units.
-func fmtBytes(b uint64) string {
+// FormatBytes renders byte counts with binary-prefix units.
+func FormatBytes(b uint64) string {
 	switch {
 	case b >= 1<<30:
 		return fmt.Sprintf("%.2fGiB", float64(b)/(1<<30))

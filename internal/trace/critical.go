@@ -41,6 +41,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -145,9 +146,6 @@ type HostRound struct {
 	arrived bool
 }
 
-// WallNs is the host's own round wall time.
-func (h *HostRound) WallNs() int64 { return h.EndNs - h.StartNs }
-
 // RoundPath is one round's critical-path verdict.
 type RoundPath struct {
 	Round int32 `json:"round"`
@@ -200,7 +198,7 @@ type Verdict struct {
 	Gates  []GateCount `json:"gates,omitempty"` // descending by Count
 }
 
-// String renders the one-line verdict gluon-top shows.
+// String renders the one-line verdict gluon-trace top shows.
 func (v Verdict) String() string {
 	if v.Rounds == 0 || len(v.Gates) == 0 {
 		return "no rounds attributed yet"
@@ -216,7 +214,7 @@ func (v Verdict) String() string {
 }
 
 // HostPhaseSum is one host's cumulative taxonomy time over attributed
-// rounds — the phase-breakdown bar gluon-top renders per host.
+// rounds — the phase-breakdown bar gluon-trace top renders per host.
 type HostPhaseSum struct {
 	Host   int32                `json:"host"`
 	Rounds int                  `json:"rounds"`
@@ -297,7 +295,8 @@ type CriticalPath struct {
 // CriticalBuilder folds aligned events into per-round attributions
 // incrementally: the collector feeds it batch by batch and reads the
 // trailing verdicts for live viewers; offline callers feed everything and
-// FinalizeAll. Safe for concurrent use.
+// FinalizeAll. It is the one per-round aggregator: SummarizeMeta reads the
+// analyzer tables off it too. Safe for concurrent use.
 type CriticalBuilder struct {
 	mu       sync.Mutex
 	open     map[int32]map[int32]*HostRound // round -> host -> accounting
@@ -308,6 +307,7 @@ type CriticalBuilder struct {
 	done     []RoundPath
 	gates    map[int32]*GateCount
 	sendNs   int64
+	tally    tally
 	// floor is the lowest round not yet finalized: events for earlier rounds
 	// arriving late (a host's ring drained on a different cadence) must not
 	// re-open a closed round and double-attribute it.
@@ -323,6 +323,12 @@ func NewCriticalBuilder() *CriticalBuilder {
 		channels: make(map[chanKey]*chanStat),
 		totals:   make(map[int32]*HostPhaseSum),
 		gates:    make(map[int32]*GateCount),
+		floor:    math.MinInt32,
+		tally: tally{
+			rounds: make(map[int32]*RoundStat),
+			peers:  make(map[[2]int32]*PeerStat),
+			hosts:  make(map[int32]bool),
+		},
 	}
 }
 
@@ -337,17 +343,18 @@ func (b *CriticalBuilder) SetHostClock(host int32, uncertaintyNs int64) {
 // Ingest folds a batch of one or more hosts' events, rebasing each start
 // time by offsetNs onto the reference axis. Events of a given host must
 // arrive in emission order (which rings, batches, and Snapshot all
-// preserve); rounds already finalized are ignored.
+// preserve); rounds already finalized are ignored, except by the tallies.
 func (b *CriticalBuilder) Ingest(events []Event, offsetNs int64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for i := range events {
 		e := &events[i]
+		start := e.Start + offsetNs
+		b.tally.add(e, start)
 		cp, ok := critOf(e.Phase)
 		if !ok && e.Phase != PhaseSync {
 			continue // instants and ckpt spans don't attribute round time
 		}
-		start := e.Start + offsetNs
 		if ms, seen := b.maxSeen[e.Host]; !seen || e.Round > ms {
 			b.maxSeen[e.Host] = e.Round
 		}
@@ -356,9 +363,6 @@ func (b *CriticalBuilder) Ingest(events []Event, offsetNs int64) {
 		}
 		if e.Phase == PhaseEncode && e.Round >= 0 {
 			b.channel(e).add(e)
-		}
-		if e.Round < 0 {
-			continue // init/memoization time is not a BSP round
 		}
 		if e.Round < b.floor {
 			continue // round already finalized; too late to attribute
@@ -470,6 +474,15 @@ func (b *CriticalBuilder) finalizeBelow(frontier int32) {
 func (b *CriticalBuilder) finalizeRound(round int32, hosts map[int32]*HostRound) {
 	if len(hosts) == 0 {
 		return
+	}
+	row := b.tally.round(round)
+	for _, hr := range hosts {
+		row.SyncNs = max(row.SyncNs, hr.SyncNs)
+		row.ComputeNs = max(row.ComputeNs, hr.ComputeNs)
+		row.BarrierNs = max(row.BarrierNs, hr.BarrierNs)
+	}
+	if round < 0 {
+		return // init/memoization time is reported, but it is not a BSP round
 	}
 	rp := RoundPath{Round: round, Gate: -1}
 	var minStart, maxEnd int64
@@ -651,17 +664,25 @@ func (b *CriticalBuilder) uncertaintyBound() int64 {
 	return u1 + u2
 }
 
-// ComputeCriticalPath attributes a full trace offline. The events must share
-// one time axis already — which both single-process exports and collector-
-// merged exports do (the merge applies the sideband offsets); meta's clock
-// table supplies the uncertainty bounds stamped on the verdicts.
-func ComputeCriticalPath(meta Meta, events []Event) *CriticalPath {
+// buildAll feeds a whole trace, already on one time axis, through one
+// builder and closes every round; meta's clock table supplies the
+// uncertainty bounds.
+func buildAll(meta Meta, events []Event) *CriticalBuilder {
 	b := NewCriticalBuilder()
 	for _, ci := range meta.Clocks {
 		b.SetHostClock(ci.Host, ci.UncertaintyNs)
 	}
 	b.Ingest(events, 0)
 	b.FinalizeAll()
+	return b
+}
+
+// ComputeCriticalPath attributes a full trace offline. The events must share
+// one time axis already — which both single-process exports and collector-
+// merged exports do (the merge applies the sideband offsets); meta's clock
+// table supplies the uncertainty bounds stamped on the verdicts.
+func ComputeCriticalPath(meta Meta, events []Event) *CriticalPath {
+	b := buildAll(meta, events)
 	return &CriticalPath{
 		Label:         meta.Label,
 		UncertaintyNs: b.uncertaintyBound(),
@@ -708,7 +729,7 @@ func (cp *CriticalPath) WriteTables(w io.Writer) error {
 		fmt.Fprintln(w)
 		for i := range cp.Hosts {
 			h := &cp.Hosts[i]
-			fmt.Fprintf(w, "%6d %10s", h.Host, fmtBytes(h.Bytes))
+			fmt.Fprintf(w, "%6d %10s", h.Host, FormatBytes(h.Bytes))
 			for cpx := CritPhase(0); cpx < NumCritPhases; cpx++ {
 				fmt.Fprintf(w, " %14v", round3(time.Duration(h.SubNs[cpx])))
 			}
@@ -763,14 +784,14 @@ func (l *Ledger) WriteTable(w io.Writer) error {
 	if l.WireNsPerByte > 0 {
 		rate = fmt.Sprintf("   (wire observed at %.1fns/B)", l.WireNsPerByte)
 	}
-	fmt.Fprintf(w, "  %-28s %10s%s\n", "shipped on the wire", fmtBytes(l.ShippedBytes), rate)
-	fmt.Fprintf(w, "  %-28s %10s\n", "naive-broadcast baseline", fmtBytes(l.BaselineBytes))
+	fmt.Fprintf(w, "  %-28s %10s%s\n", "shipped on the wire", FormatBytes(l.ShippedBytes), rate)
+	fmt.Fprintf(w, "  %-28s %10s\n", "naive-broadcast baseline", FormatBytes(l.BaselineBytes))
 	row := func(name string, bytes uint64, extra string) {
 		saved := ""
 		if l.WireNsPerByte > 0 {
 			saved = fmt.Sprintf("   (~%v sync time)", round3(time.Duration(l.SavedNs(bytes))))
 		}
-		fmt.Fprintf(w, "  %-28s %10s%s%s\n", name, fmtBytes(bytes), saved, extra)
+		fmt.Fprintf(w, "  %-28s %10s%s%s\n", name, FormatBytes(bytes), saved, extra)
 	}
 	row("saved by update sparsity", l.SparsitySavedBytes, "")
 	row("saved by invariant skips", l.InvariantSavedBytes,
@@ -782,7 +803,7 @@ func (l *Ledger) WriteTable(w io.Writer) error {
 
 // CommCounters is the compact comm-volume summary a perf-history record
 // carries alongside its timings: the ledger distilled to three trajectory
-// numbers, so `gluon-perf` can show whether a change moved bytes as well
+// numbers, so `gluon-trace perf` can show whether a change moved bytes as well
 // as nanoseconds (DESIGN.md §4.9).
 type CommCounters struct {
 	// BytesPerRound is shipped wire bytes per attributed round.
@@ -814,8 +835,5 @@ func (l *Ledger) Counters() CommCounters {
 // to a perf-history record.
 func LedgerOf(t *Trace) Ledger {
 	events, _ := t.Snapshot()
-	b := NewCriticalBuilder()
-	b.Ingest(events, 0)
-	b.FinalizeAll()
-	return b.Ledger()
+	return buildAll(Meta{}, events).Ledger()
 }

@@ -301,7 +301,7 @@ func TestCriticalFinalizeFrontier(t *testing.T) {
 }
 
 // TestCriticalPathJSONRoundTrip: the attribution (with its CritPhase names)
-// survives JSON, which gluon-trace -critical -json and gluon-top -o jsonl
+// survives JSON, which gluon-trace -critical -json and gluon-trace top -o jsonl
 // both rely on.
 func TestCriticalPathJSONRoundTrip(t *testing.T) {
 	cp := ComputeCriticalPath(Meta{Label: "rt"}, goldenTimeline())

@@ -4,7 +4,7 @@ package trace
 // cluster left behind, place them on one time axis, and explain the death
 // causally — which rank failed first, how the poison propagated, what the
 // survivors were doing when they gave up, and how much work a restore
-// would lose. cmd/gluon-doctor is a thin CLI over this.
+// would lose. `gluon-trace doctor` is a thin CLI over this.
 //
 // Time axes. Every process's session clock is unrelated to every other's.
 // Two alignment sources, best first:

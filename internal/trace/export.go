@@ -16,7 +16,7 @@ import (
 // Chrome is the trace_event JSON array format, loadable directly in
 // chrome://tracing and https://ui.perfetto.dev: hosts become processes,
 // lanes become threads, spans become complete ("X") events and frame/fault
-// markers become instants ("i"). Both formats round-trip through ReadEvents
+// markers become instants ("i"). Both formats round-trip through ReadEventsMeta
 // without losing any Event field (Chrome carries them in args).
 
 // MarshalJSON writes the phase as its string name.
@@ -73,17 +73,6 @@ type jsonlHeader struct {
 }
 
 const formatVersion = 1
-
-// WriteJSONL writes the session's merged events as JSONL.
-func (t *Trace) WriteJSONL(w io.Writer) error {
-	events, dropped := t.Snapshot()
-	return WriteJSONL(w, t.Label(), events, dropped)
-}
-
-// WriteJSONL writes a header line followed by one event per line.
-func WriteJSONL(w io.Writer, label string, events []Event, dropped uint64) error {
-	return WriteJSONLMeta(w, Meta{Label: label, Dropped: dropped}, events)
-}
 
 // WriteJSONLMeta writes a header line carrying meta followed by one event
 // per line.
@@ -144,18 +133,6 @@ type chromeDoc struct {
 	TraceEvents     []chromeEvent `json:"traceEvents"`
 	DisplayTimeUnit string        `json:"displayTimeUnit,omitempty"`
 	OtherData       *chromeOther  `json:"otherData,omitempty"`
-}
-
-// WriteChrome writes the session's merged events in Chrome trace_event
-// format.
-func (t *Trace) WriteChrome(w io.Writer) error {
-	events, dropped := t.Snapshot()
-	return WriteChrome(w, t.Label(), events, dropped)
-}
-
-// WriteChrome writes events as a trace_event JSON document.
-func WriteChrome(w io.Writer, label string, events []Event, dropped uint64) error {
-	return WriteChromeMeta(w, Meta{Label: label, Dropped: dropped}, events)
 }
 
 // WriteChromeMeta writes events as a trace_event JSON document, streaming
@@ -252,13 +229,6 @@ func WriteFileMeta(path string, meta Meta, events []Event) error {
 	return werr
 }
 
-// ReadEvents parses either export format, auto-detected, and returns the
-// events in file order plus the recorded dropped count.
-func ReadEvents(r io.Reader) ([]Event, uint64, error) {
-	events, meta, err := ReadEventsMeta(r)
-	return events, meta.Dropped, err
-}
-
 // ReadEventsMeta parses either export format, auto-detected, returning the
 // events in file order plus the full recorded metadata.
 func ReadEventsMeta(r io.Reader) ([]Event, Meta, error) {
@@ -273,12 +243,6 @@ func ReadEventsMeta(r io.Reader) ([]Event, Meta, error) {
 		}
 	}
 	return readJSONL(data)
-}
-
-// ReadFile parses a trace export from disk.
-func ReadFile(path string) ([]Event, uint64, error) {
-	events, meta, err := ReadFileMeta(path)
-	return events, meta.Dropped, err
 }
 
 // ReadFileMeta parses a trace export from disk, metadata included.

@@ -2,7 +2,7 @@ package trace
 
 // Live subscription plane. The sideband already streams every host's spans
 // to one collector; this file lets viewers tap that stream while the run is
-// still going. A viewer (gluon-top, or AttachWatcher programmatically) dials
+// still going. A viewer (gluon-trace top, or AttachWatcher programmatically) dials
 // the collector's sideband port, sends one sbWatch frame, and receives a
 // stream of sbUpdate frames — each a self-contained ViewUpdate snapshot of
 // the cluster: merged rollup counters, per-host heartbeats, shipper session
@@ -321,7 +321,7 @@ func (c *Collector) mergedStatsLocked() LiveStats {
 	return out
 }
 
-// Watcher is a live subscription to a collector, as used by gluon-top.
+// Watcher is a live subscription to a collector, as used by gluon-trace top.
 type Watcher struct {
 	conn net.Conn
 	ch   chan ViewUpdate

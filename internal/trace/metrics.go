@@ -115,6 +115,6 @@ func writeSummaryLine(w io.Writer, t *Trace) {
 	enc := s.Phases[PhaseEncode.String()]
 	fmt.Fprintf(w, "trace: round=%d events=%d dropped=%d msgs=%d bytes=%s (val %s / meta %s / gid %s) sync=%v encode=%v\n",
 		s.MaxRound, s.Events, s.Dropped, s.Messages,
-		fmtBytes(s.TotalBytes()), fmtBytes(s.ValueBytes), fmtBytes(s.MetaBytes), fmtBytes(s.GIDBytes),
+		FormatBytes(s.TotalBytes()), FormatBytes(s.ValueBytes), FormatBytes(s.MetaBytes), FormatBytes(s.GIDBytes),
 		round3(time.Duration(sync.DurNs)), round3(time.Duration(enc.DurNs)))
 }

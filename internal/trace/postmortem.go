@@ -10,7 +10,7 @@ package trace
 // The FlightRecorder closes that gap: trigger sites call Dump, which
 // freezes everything a postmortem needs into one JSON bundle written
 // with ckpt's tmp+fsync+rename discipline, so surviving hosts of a
-// crashed cluster each leave an artifact `gluon-doctor` can align and
+// crashed cluster each leave an artifact `gluon-trace doctor` can align and
 // explain.
 //
 // Arming is process-global (Arm/Armed): failure paths live deep in comm

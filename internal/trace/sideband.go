@@ -7,7 +7,7 @@ package trace
 // fixes that: every process runs a Shipper that drains its Trace
 // incrementally (ring cursors, so a flush only carries what's new) to a
 // Collector — embedded in the host-0 process or standalone behind
-// `gluon-trace -serve` — over a dedicated length-prefixed TCP stream,
+// `gluon-trace serve` — over a dedicated length-prefixed TCP stream,
 // separate from the substrate's data plane so observability never competes
 // with sync traffic for a transport mailbox.
 //
@@ -32,7 +32,7 @@ package trace
 // (clock.go) and declares it in the hello; the collector rebases that
 // session's event timestamps and heartbeats by the declared offset when
 // merging, so spans from different processes land on one time axis within
-// ±uncertainty. A viewer session (gluon-top) is one sbWatch frame, then
+// ±uncertainty. A viewer session (gluon-trace top) is one sbWatch frame, then
 // sbUpdate pushes from the collector until either side closes (live.go).
 //
 // Every shipper session ends in a terminal state: "done" after an orderly
@@ -323,7 +323,7 @@ type sbSession struct {
 }
 
 // SessionInfo is the exported view of a shipper session's state; it rides in
-// Meta.Sessions and in live ViewUpdates so the analyzer and gluon-top can
+// Meta.Sessions and in live ViewUpdates so the analyzer and gluon-trace top can
 // tell a finished host from a disconnected one.
 type SessionInfo struct {
 	ID    int     `json:"id"`
@@ -443,7 +443,7 @@ func (c *Collector) serveSession(conn net.Conn) {
 	sawBye := false
 	var viewer *sbViewer
 	// fail marks the session errored with a reason; the record is the
-	// terminal state gluon-top renders as "disconnected" and the analyzer
+	// terminal state gluon-trace top renders as "disconnected" and the analyzer
 	// surfaces in its header.
 	fail := func(reason string) {
 		if sess == nil {
@@ -558,13 +558,13 @@ func (c *Collector) serveSession(conn net.Conn) {
 			for _, hb := range f.Heartbeats {
 				if haveClock {
 					hb.BeatNs += clock.OffsetNs
+					c.mu.Lock()
 					if ci, ok := c.clocks[hb.Host]; !ok || ci.Samples == 0 {
 						ci = clock
 						ci.Host = hb.Host
-						c.mu.Lock()
 						c.clocks[hb.Host] = ci
-						c.mu.Unlock()
 					}
+					c.mu.Unlock()
 				}
 				c.health.Update(hb)
 			}
@@ -613,7 +613,7 @@ func (c *Collector) Errs() []error {
 
 // Sessions returns (announced, cleanly completed) shipper session counts.
 // A session is counted when its hello arrives — viewer subscriptions
-// (gluon-top) never count — and completes on an orderly bye.
+// (gluon-trace top) never count — and completes on an orderly bye.
 func (c *Collector) Sessions() (accepted, completed int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

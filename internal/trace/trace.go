@@ -151,20 +151,6 @@ const (
 	CompSkipped int8 = 2
 )
 
-// CompName names a compression outcome for tables and exports.
-func CompName(c int8) string {
-	switch c {
-	case CompNone:
-		return "off"
-	case CompShipped:
-		return "compressed"
-	case CompSkipped:
-		return "skipped"
-	default:
-		return "unknown"
-	}
-}
-
 // Bytes returns the event's total payload byte tag.
 func (e *Event) Bytes() uint64 { return e.Value + e.Meta + e.GID }
 

@@ -216,14 +216,14 @@ func testEvents() []Event {
 func TestJSONLRoundTrip(t *testing.T) {
 	events := testEvents()
 	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, "rt", events, 7); err != nil {
+	if err := WriteJSONLMeta(&buf, Meta{Label: "rt", Dropped: 7}, events); err != nil {
 		t.Fatal(err)
 	}
-	got, dropped, err := ReadEvents(bytes.NewReader(buf.Bytes()))
+	got, meta, err := ReadEventsMeta(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dropped != 7 {
+	if dropped := meta.Dropped; dropped != 7 {
 		t.Errorf("dropped = %d, want 7", dropped)
 	}
 	if len(got) != len(events) {
@@ -239,7 +239,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 func TestChromeRoundTrip(t *testing.T) {
 	events := testEvents()
 	var buf bytes.Buffer
-	if err := WriteChrome(&buf, "rt", events, 3); err != nil {
+	if err := WriteChromeMeta(&buf, Meta{Label: "rt", Dropped: 3}, events); err != nil {
 		t.Fatal(err)
 	}
 	// The document must be valid JSON with the trace_event shape.
@@ -250,11 +250,11 @@ func TestChromeRoundTrip(t *testing.T) {
 	if _, ok := doc["traceEvents"]; !ok {
 		t.Fatal("chrome export missing traceEvents")
 	}
-	got, dropped, err := ReadEvents(bytes.NewReader(buf.Bytes()))
+	got, meta, err := ReadEventsMeta(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dropped != 3 {
+	if dropped := meta.Dropped; dropped != 3 {
 		t.Errorf("dropped = %d, want 3", dropped)
 	}
 	if len(got) != len(events) {
@@ -278,7 +278,7 @@ func TestWriteFileFormats(t *testing.T) {
 		if err := tr.WriteFile(path); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got, _, err := ReadFile(path)
+		got, _, err := ReadFileMeta(path)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -289,23 +289,23 @@ func TestWriteFileFormats(t *testing.T) {
 }
 
 func TestReadEventsErrors(t *testing.T) {
-	if _, _, err := ReadEvents(strings.NewReader("")); err == nil {
+	if _, _, err := ReadEventsMeta(strings.NewReader("")); err == nil {
 		t.Error("empty input accepted")
 	}
-	if _, _, err := ReadEvents(strings.NewReader("{not json\n")); err == nil {
+	if _, _, err := ReadEventsMeta(strings.NewReader("{not json\n")); err == nil {
 		t.Error("malformed line accepted")
 	}
 	// Valid JSON that is not a gluon export must not parse as zero events.
-	if _, _, err := ReadEvents(strings.NewReader(`{"garbage": true}`)); err == nil {
+	if _, _, err := ReadEventsMeta(strings.NewReader(`{"garbage": true}`)); err == nil {
 		t.Error("foreign JSON accepted as a trace")
 	}
-	if _, _, err := ReadEvents(strings.NewReader("{\"host\":1,\"phase\":\"encode\"}\n")); err == nil {
+	if _, _, err := ReadEventsMeta(strings.NewReader("{\"host\":1,\"phase\":\"encode\"}\n")); err == nil {
 		t.Error("headerless JSONL accepted")
 	}
 }
 
 func TestSummarize(t *testing.T) {
-	s := Summarize("sum", testEvents(), 2)
+	s := SummarizeMeta(Meta{Label: "sum", Dropped: 2}, testEvents())
 	if s.Events != 8 || s.Dropped != 2 || s.Hosts != 2 {
 		t.Errorf("header wrong: %+v", s)
 	}
@@ -352,11 +352,11 @@ func TestSummarize(t *testing.T) {
 // TestSummarizeMaxAcrossHosts: round time columns take the max of per-host
 // sums, not the global sum.
 func TestSummarizeMaxAcrossHosts(t *testing.T) {
-	s := Summarize("", []Event{
+	s := SummarizeMeta(Meta{}, []Event{
 		{Phase: PhaseSync, Host: 0, Round: 0, Dur: 10},
 		{Phase: PhaseSync, Host: 0, Round: 0, Dur: 15}, // host 0 sums to 25
 		{Phase: PhaseSync, Host: 1, Round: 0, Dur: 40}, // host 1 is the max
-	}, 0)
+	})
 	if len(s.Rounds) != 1 || s.Rounds[0].SyncNs != 40 {
 		t.Errorf("sync max = %+v, want 40", s.Rounds)
 	}
@@ -545,9 +545,9 @@ func TestModeNames(t *testing.T) {
 }
 
 func ExampleSummary_WriteTables() {
-	s := Summarize("example", []Event{
+	s := SummarizeMeta(Meta{Label: "example"}, []Event{
 		{Phase: PhaseEncode, Host: 0, Round: 0, Peer: 1, Value: 100, Mode: 1, Dur: 10},
-	}, 0)
+	})
 	fmt.Println(s.Messages, s.TotalBytes())
 	// Output: 1 100
 }
